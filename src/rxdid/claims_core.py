@@ -392,7 +392,7 @@ def _build_store(
             sex = Sex(row[2].strip())
             if not pid:
                 raise ValueError("empty person_id")
-            if not (1880 <= birth_year <= date.today().year):
+            if not (1880 <= birth_year <= calendar.post_end.year):
                 raise ValueError(f"implausible birth_year {birth_year}")
             if pid in store.demographics:
                 raise ValueError(f"duplicate person_id {pid}")

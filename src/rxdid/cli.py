@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,9 @@ from .cohort_builder import (
     write_cohort_csv,
     write_exclusions_csv,
 )
-from .glm_engine import GlmError
+from .glm_engine import GlmError, build_design, fit_arrays
 from .measures import (
+    COVARIATE_COLUMNS,
     ComorbidityMap,
     read_antidepressants_csv,
     write_antidepressants_csv,
@@ -37,11 +39,13 @@ from .prescriber_profile import (
     write_profiles_csv,
 )
 from .study_analysis import (
+    OUTCOME_FAMILIES,
     OUTCOMES,
     AnalysisError,
     assemble_report,
     build_analysis_table,
     read_analysis_table,
+    render_report_from_estimates,
     run_did,
     run_pretrend,
     table_one,
@@ -235,7 +239,6 @@ def step_pretrend(args) -> list[str]:
     table = _load_table(args.out, args)
     results = {name: run_pretrend(table, name) for name in OUTCOMES}
     path = os.path.join(args.out, "pretrend.json")
-    from dataclasses import asdict
     with open(path, "w", encoding="utf-8") as f:
         json.dump({k: asdict(v) for k, v in sorted(results.items())},
                   f, indent=2, sort_keys=True)
@@ -269,29 +272,17 @@ def step_did(args) -> list[str]:
         if any(p.n_events >= min_cases for p in profiles.values()):
             summary = profile_summary(profiles, min_cases=min_cases)
 
-    pretrend = None
-    pretrend_path = os.path.join(args.out, "pretrend.json")
-    if os.path.exists(pretrend_path):
-        with open(pretrend_path, encoding="utf-8") as f:
-            pretrend_raw = json.load(f)
-    else:
-        pretrend_raw = None
-
-    from dataclasses import asdict
     report = assemble_report(
         run_id=_run_id(args.out),
         audit=audit,
         profile_summary=summary,
         did=estimates,
     )
-    if pretrend_raw is not None:
-        from .study_analysis import render_pretrend_summary
-        section = {}
-        for name, entry in sorted(pretrend_raw.items()):
-            entry = dict(entry)
-            entry["summary"] = render_pretrend_summary(name, entry)
-            section[name] = entry
-        report["pretrend"] = section
+    pretrend_path = os.path.join(args.out, "pretrend.json")
+    if os.path.exists(pretrend_path):
+        with open(pretrend_path, encoding="utf-8") as f:
+            report["pretrend"] = json.load(f)
+        report = render_report_from_estimates(report)
 
     did_path = os.path.join(args.out, "did.json")
     with open(did_path, "w", encoding="utf-8") as f:
@@ -304,9 +295,6 @@ def step_did(args) -> list[str]:
 
 
 def _dump_fits(path: str, table) -> None:
-    from .glm_engine import build_design, fit_arrays
-    from .measures import COVARIATE_COLUMNS
-    from .study_analysis import OUTCOME_FAMILIES
     with open(path, "w", encoding="utf-8") as f:
         for outcome in OUTCOMES:
             terms = ["exposed", "post", "exposed:post"] + COVARIATE_COLUMNS

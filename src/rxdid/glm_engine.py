@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+from scipy.special import chdtrc, ndtri
 
 MAX_ITERATIONS = 100
 REL_DEVIANCE_TOL = 1e-9
@@ -37,6 +37,12 @@ class TooFewClusters(GlmError):
 
 class SingularSubmatrix(GlmError):
     pass
+
+
+class NonConvergence(GlmError):
+    def __init__(self, message: str, deviance_trace: list[float]):
+        self.deviance_trace = deviance_trace
+        super().__init__(message)
 
 
 BINOMIAL_LOGIT = "binomial_logit"
@@ -180,6 +186,9 @@ class FitResult:
     y: np.ndarray | None = None
     mu: np.ndarray | None = None
     cluster_ids: np.ndarray | None = None
+    # (X'WX)^-1 at the final mu: the sandwich bread, and model_cov up to
+    # the dispersion
+    bread: np.ndarray | None = None
 
     def coef(self, name: str) -> float:
         return float(self.coefficients[self.names.index(name)])
@@ -219,7 +228,7 @@ def _dependent_columns(X: np.ndarray, names: list[str]) -> list[int]:
     """Pivoted-QR detection of linearly dependent columns."""
     if X.shape[1] == 0:
         return []
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0.0:
         return list(range(X.shape[1]))
@@ -230,10 +239,33 @@ def _dependent_columns(X: np.ndarray, names: list[str]) -> list[int]:
 
 
 def _wls_step(X: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Weighted least squares via QR on the scaled system."""
-    sw = np.sqrt(w)
-    Q, R = np.linalg.qr(X * sw[:, None])
-    return scipy.linalg.solve_triangular(R, Q.T @ (z * sw))
+    """Weighted least squares from the normal equations X'WX b = X'Wz.
+
+    Cholesky solve; thin QR on the scaled system when X'WX is not
+    numerically positive definite.
+    """
+    Xw = X * w[:, None]
+    try:
+        factor = scipy.linalg.cho_factor(Xw.T @ X, check_finite=False)
+    except np.linalg.LinAlgError:
+        sw = np.sqrt(w)
+        Q, R = np.linalg.qr(X * sw[:, None])
+        return scipy.linalg.solve_triangular(R, Q.T @ (z * sw))
+    return scipy.linalg.cho_solve(factor, Xw.T @ z, check_finite=False)
+
+
+def _information_inverse(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(X'WX)^-1 from one Cholesky factor, or from R of the scaled thin QR
+    when Cholesky fails; symmetrized."""
+    p = X.shape[1]
+    try:
+        factor = scipy.linalg.cho_factor((X * w[:, None]).T @ X, check_finite=False)
+        inv = scipy.linalg.cho_solve(factor, np.eye(p), check_finite=False)
+    except np.linalg.LinAlgError:
+        R = np.linalg.qr(X * np.sqrt(w)[:, None], mode="r")
+        R_inv = scipy.linalg.solve_triangular(R, np.eye(p))
+        inv = R_inv @ R_inv.T
+    return (inv + inv.T) / 2.0
 
 
 def fit_arrays(
@@ -293,17 +325,16 @@ def fit_arrays(
     # Quasi-separated columns saturate against the probability clip and the
     # fit proceeds (matching standard GLM software); complete separation via
     # a constant response is rejected in check_response above.
-    w = fam.irls_weights(mu)
-    info = (X * w[:, None]).T @ X  # expected information X'WX
-    info_inv = np.linalg.inv(info)
-    info_inv = (info_inv + info_inv.T) / 2.0
+    # One factor of the expected information X'WX serves model_cov and
+    # the sandwich bread.
+    bread = _information_inverse(X, fam.irls_weights(mu))
 
     dispersion = None
-    model_cov = info_inv
+    model_cov = bread
     if fam.has_dispersion:
         pearson = np.sum(((y - mu) / mu) ** 2)
         dispersion = float(pearson / (n - p)) if n > p else float("nan")
-        model_cov = dispersion * info_inv
+        model_cov = dispersion * bread
 
     result = FitResult(
         family=family,
@@ -323,12 +354,16 @@ def fit_arrays(
         y=y,
         mu=mu,
         cluster_ids=None,
+        bread=bread,
     )
     if cluster_ids is not None:
         result.cluster_ids = np.asarray(cluster_ids)
-        result.n_clusters = len(np.unique(result.cluster_ids))
+        # Group the (string) ids once; regrouping the integer codes in
+        # cluster_robust_cov costs a twentieth of it.
+        uniq, codes = np.unique(result.cluster_ids, return_inverse=True)
+        result.n_clusters = len(uniq)
         if converged:
-            result.robust_cov = cluster_robust_cov(result, result.cluster_ids)
+            result.robust_cov = cluster_robust_cov(result, codes)
     return result
 
 
@@ -354,6 +389,13 @@ def _scores(fit_result: FitResult) -> np.ndarray:
     return fit_result.X * resid[:, None]
 
 
+def _bread(fit_result: FitResult) -> np.ndarray:
+    if fit_result.bread is not None:
+        return fit_result.bread
+    fam = _FAMILIES[fit_result.family]
+    return _information_inverse(fit_result.X, fam.irls_weights(fit_result.mu))
+
+
 def cluster_robust_cov(fit_result: FitResult, cluster_ids) -> np.ndarray:
     """Sandwich B^-1 M B^-1 over per-cluster score sums.
 
@@ -362,9 +404,8 @@ def cluster_robust_cov(fit_result: FitResult, cluster_ids) -> np.ndarray:
     """
     if not fit_result.converged:
         raise GlmError("cluster_robust_cov requires a converged fit")
-    cluster_ids = np.asarray(cluster_ids)
     n, p = fit_result.X.shape
-    uniq, inverse = np.unique(cluster_ids, return_inverse=True)
+    uniq, inverse = np.unique(np.asarray(cluster_ids), return_inverse=True)
     G = len(uniq)
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
@@ -374,9 +415,7 @@ def cluster_robust_cov(fit_result: FitResult, cluster_ids) -> np.ndarray:
     np.add.at(cluster_sums, inverse, s)
     meat = cluster_sums.T @ cluster_sums
 
-    fam = _FAMILIES[fit_result.family]
-    w = fam.irls_weights(fit_result.mu)
-    bread = np.linalg.inv((fit_result.X * w[:, None]).T @ fit_result.X)
+    bread = _bread(fit_result)
     correction = (G / (G - 1.0)) * ((n - 1.0) / (n - p))
     cov = correction * bread @ meat @ bread
     return (cov + cov.T) / 2.0
@@ -387,9 +426,7 @@ def hc1_cov(fit_result: FitResult) -> np.ndarray:
     n, p = fit_result.X.shape
     s = _scores(fit_result)
     meat = s.T @ s
-    fam = _FAMILIES[fit_result.family]
-    w = fam.irls_weights(fit_result.mu)
-    bread = np.linalg.inv((fit_result.X * w[:, None]).T @ fit_result.X)
+    bread = _bread(fit_result)
     cov = (n / (n - p)) * bread @ meat @ bread
     return (cov + cov.T) / 2.0
 
@@ -424,7 +461,8 @@ def wald_test(
         raise SingularSubmatrix(f"covariance submatrix for {indices} is singular")
     W = float(b @ sol)
     df = len(idx)
-    return WaldResult(W, df, float(stats.chi2.sf(W, df)))
+    # chdtrc is NaN below 0, where cancellation can leave a -1e-30-scale W
+    return WaldResult(W, df, float(chdtrc(df, max(W, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -447,22 +485,21 @@ def marginal_effect(
         return MarginalEffect(0.0, 0.0, 0.0, 0.0)
     fam = _FAMILIES[fit_result.family]
     j = fit_result.names.index(term)
-    X1 = fit_result.X.copy()
-    X0 = fit_result.X.copy()
-    X1[:, j] = 1.0
-    X0[:, j] = 0.0
-    eta1 = X1 @ fit_result.coefficients
-    eta0 = X0 @ fit_result.coefficients
+    X = fit_result.X
+    b = fit_result.coefficients
+    # Setting column j to 1 or 0 shifts the linear predictor by a rank-1 term.
+    eta = X @ b
+    eta1 = eta + (1.0 - X[:, j]) * b[j]
+    eta0 = eta - X[:, j] * b[j]
     effect = float(np.mean(fam.inv_link(eta1) - fam.inv_link(eta0)))
-    grad = np.mean(
-        fam.inv_link_deriv(eta1)[:, None] * X1
-        - fam.inv_link_deriv(eta0)[:, None] * X0,
-        axis=0,
-    )
+    d1 = fam.inv_link_deriv(eta1)
+    d0 = fam.inv_link_deriv(eta0)
+    grad = (d1 - d0) @ X / len(eta)
+    grad[j] = np.mean(d1)
     cov = fit_result.robust_cov if fit_result.robust_cov is not None else fit_result.model_cov
     var = float(grad @ cov @ grad)
     se = float(np.sqrt(max(var, 0.0)))
-    zcrit = float(stats.norm.ppf(0.5 + level / 2.0))
+    zcrit = float(ndtri(0.5 + level / 2.0))
     return MarginalEffect(effect, se, effect - zcrit * se, effect + zcrit * se)
 
 
@@ -471,5 +508,5 @@ def confidence_interval(
 ) -> tuple[float, float]:
     b = fit_result.coef(name)
     se = fit_result.robust_se(name)
-    zcrit = float(stats.norm.ppf(0.5 + level / 2.0))
+    zcrit = float(ndtri(0.5 + level / 2.0))
     return b - zcrit * se, b + zcrit * se

@@ -16,6 +16,7 @@ from .glm_engine import (
     BINOMIAL_LOGIT,
     GAMMA_LOG,
     FitResult,
+    NonConvergence,
     confidence_interval,
     fit_arrays,
     build_design,
@@ -174,10 +175,18 @@ def _check_cells(exposed: np.ndarray, post: np.ndarray) -> None:
 def _fit_terms(table: dict, outcome: str, terms: list[str], drop_collinear: bool) -> FitResult:
     X, names = build_design(table, terms, intercept=True)
     y = table[outcome]
-    return fit_arrays(
+    result = fit_arrays(
         X, y, OUTCOME_FAMILIES[outcome], names=names,
         cluster_ids=table["provider_id"], drop_collinear=drop_collinear,
     )
+    if not result.converged:
+        last = ", ".join(repr(d) for d in result.deviance_trace[-2:])
+        raise NonConvergence(
+            f"{outcome}: IRLS did not converge in {result.n_iterations} "
+            f"iterations; last deviances {last}",
+            result.deviance_trace,
+        )
+    return result
 
 
 def run_did(

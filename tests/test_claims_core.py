@@ -206,3 +206,20 @@ def test_duplicate_claim_id_rejected(input_dir):
                     "", "", "Ambulatory"] + [""] * 10)
     store = parse_inputs(input_dir)
     assert any("duplicate claim_id" in r.reason for r in store.rejected)
+
+
+@pytest.mark.parametrize("calendar", [
+    StudyCalendar(),
+    StudyCalendar(date(2091, 1, 1), date(2093, 12, 31), date(2094, 3, 1), date(2095, 2, 28)),
+])
+def test_birth_year_bounded_by_calendar_not_wall_clock(input_dir, calendar):
+    # the upper bound is the calendar's last year, so the same inputs parse
+    # the same way on any day
+    last = calendar.post_end.year
+    with open(os.path.join(input_dir, "persons.csv"), "a", newline="") as f:
+        csv.writer(f).writerows([["p3", str(last), "Female"], ["p4", str(last + 1), "Male"]])
+    store = parse_inputs(input_dir, calendar)
+    assert store.demographics["p3"].birth_year == last
+    assert "p4" not in store.demographics
+    assert [r.line for r in store.rejected
+            if r.filename == "persons.csv" and "birth_year" in r.reason] == [5]

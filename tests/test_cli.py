@@ -1,11 +1,14 @@
 """CLI exit codes, run-directory outputs, and byte-level reproducibility."""
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
+import rxdid.study_analysis as sa
 from rxdid.cli import main
+from rxdid.glm_engine import fit_arrays
 from rxdid.claims_core import StudyCalendar
 from rxdid.study_analysis import ANALYSIS_TABLE_COLUMNS, write_analysis_table
 
@@ -165,6 +168,19 @@ def test_pretrend_post_only_is_analysis_error(tmp_path, capsys):
     write_analysis_table(os.path.join(out, "analysis_table.csv"), _post_only_table())
     assert main(["pretrend", "--out", out]) == 2
     assert "analysis error" in capsys.readouterr().err
+
+
+def test_did_nonconvergence_is_analysis_error(tmp_path, sim_file, capsys, monkeypatch):
+    out = str(tmp_path / "r")
+    for step in ["simulate", "classify", "cohort"]:
+        assert main([step, "--out", out, "--sim", sim_file]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sa, "fit_arrays", functools.partial(fit_arrays, max_iterations=1))
+    assert main(["did", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: ") and "did not converge" in err
+    assert len(err.splitlines()) == 1
+    assert not os.path.exists(os.path.join(out, "did.json"))
 
 
 def test_dump_fit_written(tmp_path, sim_file):

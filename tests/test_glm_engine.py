@@ -1,6 +1,11 @@
 """GLM fitting against closed-form and independently optimized oracles."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import optimize, stats
 
 from rxdid.glm_engine import (
@@ -227,6 +232,28 @@ def test_too_few_clusters():
         cluster_robust_cov(res, np.zeros(res.n_obs))
 
 
+@pytest.mark.parametrize("family", [BINOMIAL_LOGIT, GAMMA_LOG])
+def test_qr_fallback_matches_cholesky(monkeypatch, family):
+    # X'WX that Cholesky rejects is solved by QR on the scaled system; on a
+    # well-posed fit both paths must agree
+    res, cid = _clustered_fit(G=30, per=10, family=family)
+    calls = []
+
+    def not_positive_definite(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", not_positive_definite)
+    qr = fit_arrays(res.X, res.y, family, cluster_ids=cid)
+    assert len(calls) == qr.n_iterations + 1  # every IRLS step and the final factor
+    assert qr.n_iterations == res.n_iterations
+    assert np.allclose(qr.coefficients, res.coefficients, rtol=0, atol=1e-10)
+    se_chol = np.sqrt(np.diag(res.robust_cov))
+    se_qr = np.sqrt(np.diag(qr.robust_cov))
+    assert np.allclose(se_qr, se_chol, rtol=1e-10, atol=0)
+    assert np.allclose(qr.model_cov, res.model_cov, rtol=1e-10, atol=0)
+
+
 # -- Wald, AME, CI -----------------------------------------------------------
 
 def _canned_fit(coefs, cov, names=None):
@@ -273,6 +300,44 @@ def test_confidence_interval_z_critical():
     assert hi == pytest.approx(1.5 + zc * 0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("df", [1, 2, 3, 7])
+def test_wald_p_value_matches_chi2_sf(df):
+    for W in [0.0, 1e-12, 0.05, 0.5, 1.0, 3.84, 10.0, 40.0, 200.0]:
+        res = _canned_fit([np.sqrt(W / df)] * df, np.eye(df))
+        w = wald_test(res, list(range(df)))
+        assert w.statistic == pytest.approx(W, rel=1e-12, abs=1e-15)
+        assert w.p_value == pytest.approx(stats.chi2.sf(w.statistic, df), rel=1e-10, abs=1e-300)
+
+
+def test_wald_tiny_negative_statistic_has_p_one():
+    # an exact-null fit can leave W at -1e-30 through cancellation
+    res = _canned_fit([1e-15], [[-1.0]])
+    w = wald_test(res, ["b0"])
+    assert w.statistic == pytest.approx(-1e-30, rel=1e-12)
+    assert w.p_value == 1.0
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_confidence_interval_matches_norm_ppf(level):
+    res = _canned_fit([0.3], [[4.0]])  # se = 2
+    lo, hi = confidence_interval(res, "b0", level=level)
+    zc = stats.norm.ppf(0.5 + level / 2.0)
+    assert lo == pytest.approx(0.3 - 2.0 * zc, rel=1e-12)
+    assert hi == pytest.approx(0.3 + 2.0 * zc, rel=1e-12)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of every cold start
+    import rxdid
+    src = os.path.dirname(os.path.dirname(rxdid.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rxdid.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def test_marginal_effect_two_group_closed_form():
     # saturated model: AME equals the raw risk difference 0.30 - 0.50 = -0.20
     X, y = _grouped_binary(n0=100, k0=50, n1=100, k1=30)
@@ -293,6 +358,27 @@ def test_marginal_effect_gamma_mean_difference():
     res = fit_arrays(X, y, GAMMA_LOG, names=["intercept", "x"],
                      cluster_ids=np.arange(60) % 6)
     assert marginal_effect(res, "x").effect == pytest.approx(50.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("family", [BINOMIAL_LOGIT, GAMMA_LOG])
+def test_marginal_effect_matches_counterfactual_designs(family):
+    # reference: predict on two full copies of X with the term set to 1 and 0
+    res, _ = _clustered_fit(G=30, per=10, family=family)
+    d = (RNG.random(res.n_obs) < 0.5).astype(float)
+    X = np.column_stack([res.X, d, d * res.X[:, 1]])
+    names = ["intercept", "x", "d", "d:x"]
+    fit_d = fit_arrays(X, res.y, family, names=names, cluster_ids=res.cluster_ids)
+    inv_link = (lambda e: 1 / (1 + np.exp(-e))) if family == BINOMIAL_LOGIT else np.exp
+    deriv = (lambda e: inv_link(e) * (1 - inv_link(e))) if family == BINOMIAL_LOGIT else np.exp
+    for j, term in [(2, "d"), (3, "d:x")]:
+        X1, X0 = X.copy(), X.copy()
+        X1[:, j], X0[:, j] = 1.0, 0.0
+        e1, e0 = X1 @ fit_d.coefficients, X0 @ fit_d.coefficients
+        effect = np.mean(inv_link(e1) - inv_link(e0))
+        grad = np.mean(deriv(e1)[:, None] * X1 - deriv(e0)[:, None] * X0, axis=0)
+        ame = marginal_effect(fit_d, term)
+        assert ame.effect == pytest.approx(effect, rel=1e-10)
+        assert ame.se == pytest.approx(np.sqrt(grad @ fit_d.robust_cov @ grad), rel=1e-10)
 
 
 def test_marginal_effect_absent_term_is_zero():

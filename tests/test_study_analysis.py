@@ -1,4 +1,5 @@
 """DiD and pre-trend specifications, descriptive tables, trends, report text."""
+import functools
 import json
 import math
 from datetime import timedelta
@@ -6,7 +7,9 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+import rxdid.study_analysis as sa
 from rxdid.claims_core import StudyCalendar
+from rxdid.glm_engine import NonConvergence, fit_arrays
 from rxdid.study_analysis import (
     DegenerateDesign,
     ZeroVariance,
@@ -102,6 +105,22 @@ def test_did_empty_cell_degenerate():
     table = _binary_table([(1, 0, 100, 20), (0, 0, 100, 10), (1, 1, 100, 10)])
     with pytest.raises(DegenerateDesign):
         run_did(table, "any_refill_30d", covariates=[])
+
+
+def test_did_nonconvergence_raises_with_diagnostics(monkeypatch):
+    monkeypatch.setattr(sa, "fit_arrays", functools.partial(fit_arrays, max_iterations=1))
+    table = _binary_table([
+        (1, 0, 100, 20), (0, 0, 100, 10), (1, 1, 100, 10), (0, 1, 100, 10),
+    ])
+    with pytest.raises(NonConvergence) as exc:
+        run_did(table, "any_refill_30d", covariates=[])
+    trace = exc.value.deviance_trace
+    assert len(trace) == 2
+    message = str(exc.value)
+    assert message.startswith("any_refill_30d: ")
+    assert "1 iterations" in message
+    assert f"{trace[0]!r}, {trace[1]!r}" in message
+    assert "\n" not in message
 
 
 # -- pre-trend ---------------------------------------------------------------
