@@ -274,7 +274,12 @@ class ClaimsStore:
         return sorted(self.medical)
 
 
-def _read_rows(path: str, expected: list[str]):
+def read_csv_rows(path: str, expected: list[str]):
+    """(line number, row) for each non-blank data row of a CSV file.
+
+    Raises UnknownColumn when the file is empty or its header is not
+    ``expected``.
+    """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -300,6 +305,32 @@ def _build_store(
 ) -> ClaimsStore:
     store = ClaimsStore(calendar=calendar)
     raw_enrollment: dict[str, list[EnrollmentSpan]] = {}
+
+    # The catalog comes first: a fill whose drug_code it lacks is rejected.
+    n = 0
+    for lineno, row in catalog_rows:
+        n += 1
+        try:
+            if len(row) != len(DRUG_CATALOG_COLUMNS):
+                raise ValueError(f"expected {len(DRUG_CATALOG_COLUMNS)} fields, got {len(row)}")
+            code = row[0].strip()
+            ingredient = OpioidIngredient(row[1].strip())
+            flag = row[2].strip().lower()
+            if flag not in ("true", "false", "1", "0"):
+                raise ValueError(f"bad boolean {row[2]!r}")
+            is_oral = flag in ("true", "1")
+            strength = float(row[3]) if row[3].strip() else 0.0
+            factor = float(row[4]) if row[4].strip() else 0.0
+            if is_oral and (ingredient is OpioidIngredient.NONE or factor <= 0):
+                raise ValueError("oral analgesic opioid requires an ingredient and mme_factor > 0")
+            if ingredient is not OpioidIngredient.NONE and is_oral and strength <= 0:
+                raise ValueError("opioid entries need positive strength")
+            if code in store.catalog:
+                raise ValueError(f"duplicate drug_code {code}")
+            store.catalog[code] = DrugCatalogEntry(code, ingredient, is_oral, strength, factor)
+        except (ValueError, InvalidDate) as e:
+            store.rejected.append(RejectedRow("drug_catalog.csv", lineno, str(e)))
+    store.parsed_counts["drug_catalog.csv"] = n - store.rejected_counts.get("drug_catalog.csv", 0)
 
     n = 0
     for lineno, row in enrollment_rows:
@@ -333,6 +364,8 @@ def _build_store(
                 raise ValueError("empty person_id or drug_code")
             if quantity <= 0:
                 raise ValueError(f"quantity must be positive, got {row[3]}")
+            if code not in store.catalog:
+                raise ValueError(f"drug_code {code!r} is not in drug_catalog.csv")
             supply = int(row[4]) if row[4].strip() else None
             store.pharmacy.setdefault(pid, []).append(
                 PharmacyClaim(pid, fill, code, quantity, supply)
@@ -401,31 +434,6 @@ def _build_store(
             store.rejected.append(RejectedRow("persons.csv", lineno, str(e)))
     store.parsed_counts["persons.csv"] = n - store.rejected_counts.get("persons.csv", 0)
 
-    n = 0
-    for lineno, row in catalog_rows:
-        n += 1
-        try:
-            if len(row) != len(DRUG_CATALOG_COLUMNS):
-                raise ValueError(f"expected {len(DRUG_CATALOG_COLUMNS)} fields, got {len(row)}")
-            code = row[0].strip()
-            ingredient = OpioidIngredient(row[1].strip())
-            flag = row[2].strip().lower()
-            if flag not in ("true", "false", "1", "0"):
-                raise ValueError(f"bad boolean {row[2]!r}")
-            is_oral = flag in ("true", "1")
-            strength = float(row[3]) if row[3].strip() else 0.0
-            factor = float(row[4]) if row[4].strip() else 0.0
-            if is_oral and (ingredient is OpioidIngredient.NONE or factor <= 0):
-                raise ValueError("oral analgesic opioid requires an ingredient and mme_factor > 0")
-            if ingredient is not OpioidIngredient.NONE and is_oral and strength <= 0:
-                raise ValueError("opioid entries need positive strength")
-            if code in store.catalog:
-                raise ValueError(f"duplicate drug_code {code}")
-            store.catalog[code] = DrugCatalogEntry(code, ingredient, is_oral, strength, factor)
-        except (ValueError, InvalidDate) as e:
-            store.rejected.append(RejectedRow("drug_catalog.csv", lineno, str(e)))
-    store.parsed_counts["drug_catalog.csv"] = n - store.rejected_counts.get("drug_catalog.csv", 0)
-
     # Canonical post-parse normalization: merged spans, sorted indexes.
     for pid, spans in raw_enrollment.items():
         store.enrollment[pid] = merge_enrollment_spans(spans)
@@ -456,11 +464,11 @@ def parse_inputs(input_dir: str, calendar: StudyCalendar | None = None) -> Claim
             raise FileNotFoundError(p)
     return _build_store(
         calendar,
-        _read_rows(paths["enrollment.csv"], ENROLLMENT_COLUMNS),
-        _read_rows(paths["pharmacy.csv"], PHARMACY_COLUMNS),
-        _read_rows(paths["medical.csv"], MEDICAL_COLUMNS),
-        _read_rows(paths["persons.csv"], PERSONS_COLUMNS),
-        _read_rows(paths["drug_catalog.csv"], DRUG_CATALOG_COLUMNS),
+        read_csv_rows(paths["enrollment.csv"], ENROLLMENT_COLUMNS),
+        read_csv_rows(paths["pharmacy.csv"], PHARMACY_COLUMNS),
+        read_csv_rows(paths["medical.csv"], MEDICAL_COLUMNS),
+        read_csv_rows(paths["persons.csv"], PERSONS_COLUMNS),
+        read_csv_rows(paths["drug_catalog.csv"], DRUG_CATALOG_COLUMNS),
     )
 
 

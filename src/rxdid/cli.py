@@ -1,20 +1,25 @@
 """Command-line front end: reproducible run directories with manifests."""
 from __future__ import annotations
 
+import os
+
+# The fits are n x ~40: BLAS threads only add overhead. numpy reads this once, at import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .claims_core import ClaimsError, StudyCalendar, parse_inputs
+from .claims_core import ClaimsError, ClaimsStore, StudyCalendar, parse_inputs
 from .cohort_builder import (
     build_cohort,
     write_cohort_csv,
@@ -121,12 +126,6 @@ def _inputs_dir(out_dir: str) -> str:
     return d
 
 
-def _calendar(args) -> StudyCalendar:
-    if args.calendar:
-        return StudyCalendar.from_file(args.calendar)
-    return StudyCalendar()
-
-
 def _thresholds(args) -> tuple[Fraction, Fraction, int]:
     if not args.thresholds:
         return Fraction(1, 4), Fraction(3, 4), 5
@@ -136,11 +135,33 @@ def _thresholds(args) -> tuple[Fraction, Fraction, int]:
     return Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
 
 
-def _load_table(out_dir: str, args):
-    path = os.path.join(out_dir, "analysis_table.csv")
-    if not os.path.exists(path):
-        raise MissingInput(f"{path} not found; run `cohort` first")
-    return read_analysis_table(path, _calendar(args))
+class _Run:
+    """What the steps of one invocation share, each loaded at most once.
+
+    ``store`` parses ``inputs/``; ``table`` reads ``analysis_table.csv``
+    unless ``cohort`` has already handed over the table it built. Steps
+    only read the table; none may change it in place.
+    """
+
+    def __init__(self, args):
+        self.args = args
+
+    @cached_property
+    def calendar(self) -> StudyCalendar:
+        if self.args.calendar:
+            return StudyCalendar.from_file(self.args.calendar)
+        return StudyCalendar()
+
+    @cached_property
+    def store(self) -> ClaimsStore:
+        return parse_inputs(_inputs_dir(self.args.out), self.calendar)
+
+    @cached_property
+    def table(self) -> dict:
+        path = os.path.join(self.args.out, "analysis_table.csv")
+        if not os.path.exists(path):
+            raise MissingInput(f"{path} not found; run `cohort` first")
+        return read_analysis_table(path, self.calendar)
 
 
 def _run_id(out_dir: str) -> str:
@@ -155,12 +176,12 @@ def _run_id(out_dir: str) -> str:
     return h.hexdigest()[:16]
 
 
-def step_simulate(args) -> list[str]:
+def step_simulate(args, run: _Run) -> list[str]:
     config = SimConfig.from_file(args.sim) if args.sim else SimConfig()
     if args.seed is not None:
         config = SimConfig(**{**config.__dict__, "seed": args.seed})
     inputs = os.path.join(args.out, "inputs")
-    generate(config, out_dir=inputs, calendar=_calendar(args))
+    generate(config, out_dir=inputs, calendar=run.calendar)
     os.replace(
         os.path.join(inputs, "ground_truth.json"),
         os.path.join(args.out, "ground_truth.json"),
@@ -174,11 +195,10 @@ def step_simulate(args) -> list[str]:
     ]
 
 
-def step_classify(args) -> list[str]:
-    inputs = _inputs_dir(args.out)
-    calendar = _calendar(args)
-    store = parse_inputs(inputs, calendar)
-    codes = _procedure_codes(inputs)
+def step_classify(args, run: _Run) -> list[str]:
+    calendar = run.calendar
+    store = run.store
+    codes = _procedure_codes(_inputs_dir(args.out))
     low, high, min_cases = _thresholds(args)
     events = find_index_events(store, codes, calendar.profiling_start, calendar.profiling_end)
     profiles = classify_providers(events, store, min_cases=min_cases, low=low, high=high)
@@ -208,16 +228,15 @@ def _antidepressants(inputs: str) -> frozenset:
     return frozenset()
 
 
-def step_cohort(args) -> list[str]:
+def step_cohort(args, run: _Run) -> list[str]:
     inputs = _inputs_dir(args.out)
     profiles_path = os.path.join(args.out, "profiles.csv")
     if not os.path.exists(profiles_path):
         raise MissingInput(f"{profiles_path} not found; run `classify` first")
-    calendar = _calendar(args)
-    store = parse_inputs(inputs, calendar)
+    store = run.store
     codes = _procedure_codes(inputs)
     profiles = read_profiles_csv(profiles_path)
-    rows, audit = build_cohort(store, profiles, calendar, codes)
+    rows, audit = build_cohort(store, profiles, run.calendar, codes)
     cohort_path = os.path.join(args.out, "cohort.csv")
     excl_path = os.path.join(args.out, "exclusions.csv")
     write_cohort_csv(cohort_path, rows)
@@ -225,18 +244,20 @@ def step_cohort(args) -> list[str]:
     table = build_analysis_table(rows, store, _comorbidity_map(inputs), _antidepressants(inputs))
     table_path = os.path.join(args.out, "analysis_table.csv")
     write_analysis_table(table_path, table)
+    # Equal bit for bit to what read_analysis_table gives back from the file.
+    run.table = table
     return [cohort_path, excl_path, table_path]
 
 
-def step_describe(args) -> list[str]:
-    table = _load_table(args.out, args)
+def step_describe(args, run: _Run) -> list[str]:
+    table = run.table
     path = os.path.join(args.out, "table_one.csv")
     write_table_one_csv(path, table_one(table))
     return [path]
 
 
-def step_pretrend(args) -> list[str]:
-    table = _load_table(args.out, args)
+def step_pretrend(args, run: _Run) -> list[str]:
+    table = run.table
     results = {name: run_pretrend(table, name) for name in OUTCOMES}
     path = os.path.join(args.out, "pretrend.json")
     with open(path, "w", encoding="utf-8") as f:
@@ -246,8 +267,8 @@ def step_pretrend(args) -> list[str]:
     return [path]
 
 
-def step_did(args) -> list[str]:
-    table = _load_table(args.out, args)
+def step_did(args, run: _Run) -> list[str]:
+    table = run.table
     estimates = {name: run_did(table, name) for name in OUTCOMES}
 
     outputs = []
@@ -313,8 +334,8 @@ def _dump_fits(path: str, table) -> None:
             f.write(f"robust_cov=\n{np.array2string(fit.robust_cov, threshold=10**6)}\n")
 
 
-def step_trends(args) -> list[str]:
-    table = _load_table(args.out, args)
+def step_trends(args, run: _Run) -> list[str]:
+    table = run.table
     outputs = []
     for outcome in OUTCOMES:
         series = trend_series(table, outcome)
@@ -324,7 +345,7 @@ def step_trends(args) -> list[str]:
     return outputs
 
 
-def step_check(args) -> list[str]:
+def step_check(args, run: _Run) -> list[str]:
     gt_path = os.path.join(args.out, "ground_truth.json")
     report_path = os.path.join(args.out, "report.json")
     for p in (gt_path, report_path):
@@ -366,7 +387,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="simulation seed override")
         p.add_argument("--sim", help="simulation config file (key = value lines)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; results are independent of this value")
+                       help="accepted and ignored; results are independent of this value")
         p.add_argument("--dump-fit", action="store_true", dest="dump_fit")
     return parser
 
@@ -382,6 +403,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     steps = STEPS if args.command == "all" else [args.command]
+    run = _Run(args)
     try:
         os.makedirs(args.out, exist_ok=True)
         for step in steps:
@@ -392,7 +414,7 @@ def main(argv=None) -> int:
                 inputs_for_manifest = [
                     os.path.join(inputs_dir, n) for n in sorted(os.listdir(inputs_dir))
                 ]
-            outputs = _STEP_FUNCS[step](args)
+            outputs = _STEP_FUNCS[step](args, run)
             _write_manifest(args.out, step, sys.argv[1:] if argv is None else argv,
                             inputs_for_manifest, outputs, started)
     except (MissingInput, InvalidConfig, InvalidThresholds, ClaimsError,

@@ -5,12 +5,14 @@ import csv
 from dataclasses import dataclass
 
 from .claims_core import (
+    ClaimsError,
     ClaimsStore,
     DrugCatalogEntry,
     PharmacyClaim,
     ProviderType,
     Sex,
     days_between,
+    read_csv_rows,
 )
 from .cohort_builder import CohortRow, LosCategory
 
@@ -35,6 +37,10 @@ class MissingCatalogEntry(MeasureError):
 
 
 class MissingDemographics(MeasureError):
+    pass
+
+
+class InvalidComorbidityMap(ClaimsError):
     pass
 
 
@@ -155,18 +161,18 @@ class ComorbidityMap:
 
     @classmethod
     def from_file(cls, path: str) -> "ComorbidityMap":
+        """Read a map whose conditions are exactly COMORBIDITY_ORDER."""
         conditions: dict[str, list[str]] = {}
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            if [h.strip() for h in header] != ["condition", "icd9_prefix"]:
-                raise ValueError(f"{path}: expected header condition,icd9_prefix")
-            for row in reader:
-                if not row or all(not c.strip() for c in row):
-                    continue
-                conditions.setdefault(row[0].strip(), []).append(
-                    row[1].replace(".", "").strip().upper()
-                )
+        for _, row in read_csv_rows(path, ["condition", "icd9_prefix"]):
+            conditions.setdefault(row[0].strip(), []).append(
+                row[1].replace(".", "").strip().upper()
+            )
+        missing = [c for c in COMORBIDITY_ORDER if c not in conditions]
+        unknown = sorted(set(conditions) - set(COMORBIDITY_ORDER))
+        if missing or unknown:
+            raise InvalidComorbidityMap(
+                f"{path}: missing conditions {missing}, unknown conditions {unknown}"
+            )
         return cls({k: tuple(v) for k, v in conditions.items()})
 
     def matches(self, condition: str, dx: str) -> bool:
@@ -227,16 +233,9 @@ COVARIATE_COLUMNS = (
 
 
 def read_antidepressants_csv(path: str) -> frozenset[str]:
-    codes = set()
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if [h.strip() for h in header] != ["drug_code"]:
-            raise ValueError(f"{path}: expected header drug_code")
-        for row in reader:
-            if row and row[0].strip():
-                codes.add(row[0].strip())
-    return frozenset(codes)
+    return frozenset(
+        row[0].strip() for _, row in read_csv_rows(path, ["drug_code"]) if row[0].strip()
+    )
 
 
 def write_antidepressants_csv(path: str, codes) -> None:

@@ -15,6 +15,7 @@ from .claims_core import (
     ProviderType,
     days_between,
     index_anchor_dates,
+    read_csv_rows,
 )
 
 
@@ -74,15 +75,8 @@ class ProcedureCodeSet:
     @classmethod
     def from_file(cls, path: str) -> "ProcedureCodeSet":
         procs: dict[str, set[str]] = {}
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            if [h.strip() for h in header] != ["procedure_name", "cpt"]:
-                raise ValueError(f"{path}: expected header procedure_name,cpt")
-            for row in reader:
-                if not row or all(not c.strip() for c in row):
-                    continue
-                procs.setdefault(row[0].strip(), set()).add(row[1].strip())
+        for _, row in read_csv_rows(path, ["procedure_name", "cpt"]):
+            procs.setdefault(row[0].strip(), set()).add(row[1].strip())
         return cls({name: frozenset(codes) for name, codes in procs.items()})
 
 
@@ -290,10 +284,13 @@ def profile_summary(profiles: dict[str, ProviderProfile], min_cases: int = 5) ->
     }
 
 
+PROFILE_COLUMNS = ["provider_id", "provider_type", "n_events", "n_hydrocodone", "share", "class"]
+
+
 def write_profiles_csv(path: str, profiles: dict[str, ProviderProfile]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["provider_id", "provider_type", "n_events", "n_hydrocodone", "share", "class"])
+        w.writerow(PROFILE_COLUMNS)
         for provider_id in sorted(profiles):
             p = profiles[provider_id]
             w.writerow([
@@ -304,15 +301,10 @@ def write_profiles_csv(path: str, profiles: dict[str, ProviderProfile]) -> None:
 
 def read_profiles_csv(path: str) -> dict[str, ProviderProfile]:
     profiles = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            num, _, den = row[4].partition("/")
-            profiles[row[0]] = ProviderProfile(
-                row[0], ProviderType(row[1]), int(row[2]), int(row[3]),
-                Fraction(int(num), int(den)), ProviderClass(row[5]),
-            )
+    for _, row in read_csv_rows(path, PROFILE_COLUMNS):
+        num, _, den = row[4].partition("/")
+        profiles[row[0]] = ProviderProfile(
+            row[0], ProviderType(row[1]), int(row[2]), int(row[3]),
+            Fraction(int(num), int(den)), ProviderClass(row[5]),
+        )
     return profiles

@@ -208,6 +208,18 @@ def test_duplicate_claim_id_rejected(input_dir):
     assert any("duplicate claim_id" in r.reason for r in store.rejected)
 
 
+def test_unknown_drug_code_rejected(input_dir):
+    with open(os.path.join(input_dir, "pharmacy.csv"), "a", newline="") as f:
+        csv.writer(f).writerow(["p2", "2013-01-20", "ZZZ9", "10", ""])
+    store = parse_inputs(input_dir)
+    assert [(r.line, r.reason) for r in store.rejected if r.filename == "pharmacy.csv"] == [
+        (3, "quantity must be positive, got -5"),
+        (5, "drug_code 'ZZZ9' is not in drug_catalog.csv"),
+    ]
+    assert all(c.drug_code != "ZZZ9" for c in store.pharmacy["p2"])
+    assert store.parsed_counts["pharmacy.csv"] == 2
+
+
 @pytest.mark.parametrize("calendar", [
     StudyCalendar(),
     StudyCalendar(date(2091, 1, 1), date(2093, 12, 31), date(2094, 3, 1), date(2095, 2, 28)),

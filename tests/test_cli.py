@@ -1,16 +1,24 @@
 """CLI exit codes, run-directory outputs, and byte-level reproducibility."""
 import functools
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rxdid.cli as cli
 import rxdid.study_analysis as sa
 from rxdid.cli import main
 from rxdid.glm_engine import fit_arrays
 from rxdid.claims_core import StudyCalendar
-from rxdid.study_analysis import ANALYSIS_TABLE_COLUMNS, write_analysis_table
+from rxdid.study_analysis import (
+    ANALYSIS_TABLE_COLUMNS,
+    read_analysis_table,
+    write_analysis_table,
+)
 
 SIM_CFG = (
     "seed = 5\n"
@@ -192,3 +200,150 @@ def test_dump_fit_written(tmp_path, sim_file):
     dump = open(os.path.join(out, "fit_dump.txt")).read()
     assert "== any_refill_30d (binomial_logit) ==" in dump
     assert "converged=True" in dump
+
+
+def _counted(monkeypatch, name):
+    """Replace cli.<name> with a wrapper; the returned list holds one entry per call."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append(result)
+        return result
+    monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+def _column_digests(table):
+    return {
+        k: hashlib.sha256(repr(v.tolist()).encode() if v.dtype == object else v.tobytes()).hexdigest()
+        for k, v in table.items() if k != "_calendar"
+    }
+
+
+def test_all_parses_once_and_reads_no_table(tmp_path, sim_file, monkeypatch):
+    parsed = _counted(monkeypatch, "parse_inputs")
+    read = _counted(monkeypatch, "read_analysis_table")
+    assert main(["all", "--out", str(tmp_path / "a"), "--sim", sim_file]) == 0
+    assert (len(parsed), len(read)) == (1, 0)
+
+
+def test_standalone_step_reads_table_once(tmp_path, sim_file, monkeypatch):
+    out = str(tmp_path / "r")
+    for step in ["simulate", "classify", "cohort"]:
+        assert main([step, "--out", out, "--sim", sim_file]) == 0
+    parsed = _counted(monkeypatch, "parse_inputs")
+    read = _counted(monkeypatch, "read_analysis_table")
+    assert main(["did", "--out", out]) == 0
+    assert (len(parsed), len(read)) == (0, 1)
+
+
+def _assert_same_table(back, table):
+    assert list(back) == list(table)
+    assert back["_calendar"] == table["_calendar"]
+    for name in ANALYSIS_TABLE_COLUMNS:
+        assert back[name].dtype == table[name].dtype, name
+        if table[name].dtype == object:
+            assert back[name].tolist() == table[name].tolist(), name
+        else:
+            # bit for bit: equal values and equal signs of zero
+            assert back[name].tobytes() == table[name].tobytes(), name
+
+
+def test_table_read_back_equals_built_table(tmp_path, sim_file, monkeypatch):
+    built = _counted(monkeypatch, "build_analysis_table")
+    out = str(tmp_path / "r")
+    for step in ["simulate", "classify", "cohort"]:
+        assert main([step, "--out", out, "--sim", sim_file]) == 0
+    (table,) = built
+    path = os.path.join(out, "analysis_table.csv")
+    _assert_same_table(read_analysis_table(path, StudyCalendar()), table)
+    # the simulated outcomes are short decimals; gamma draws use every digit
+    table = _post_only_table()
+    write_analysis_table(path, table)
+    _assert_same_table(read_analysis_table(path, StudyCalendar()), table)
+
+
+def test_steps_leave_shared_table_unchanged(tmp_path, sim_file, monkeypatch):
+    built = _counted(monkeypatch, "build_analysis_table")
+    digests = []
+    describe = cli._STEP_FUNCS["describe"]
+
+    def digest_then_describe(args, run):
+        assert run.table is built[0]
+        digests.append(_column_digests(run.table))
+        return describe(args, run)
+    monkeypatch.setitem(cli._STEP_FUNCS, "describe", digest_then_describe)
+    assert main(["all", "--out", str(tmp_path / "a"), "--sim", sim_file]) == 0
+    (table,) = built
+    assert digests == [_column_digests(table)]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_sets_one_blas_thread_unless_preset(preset, expected):
+    import rxdid
+    src = os.path.dirname(os.path.dirname(rxdid.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, rxdid.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == expected
+
+
+def test_unknown_drug_code_is_rejected_not_fatal(tmp_path, sim_file):
+    out = str(tmp_path / "r")
+    assert main(["simulate", "--out", out, "--sim", sim_file]) == 0
+    path = os.path.join(out, "inputs", "pharmacy.csv")
+    lines = open(path).read().splitlines(keepends=True)
+    fills = [i for i, l in enumerate(lines) if l.startswith("p0000002,")]
+    fields = lines[fills[1]].split(",")
+    fields[2] = "ZZZ9"
+    lines[fills[1]] = ",".join(fields)
+    open(path, "w").write("".join(lines))
+    for step in ["classify", "cohort", "did"]:
+        assert main([step, "--out", out]) == 0, step
+
+
+def _replace_header(text):
+    return "bogus," + text.split("\n", 1)[1]
+
+
+def _drop_header(text):
+    return text.split("\n", 1)[1]
+
+
+def _drop_condition(text):
+    return "".join(l for l in text.splitlines(keepends=True)
+                   if not l.startswith("congestive_heart_failure,"))
+
+
+def _add_condition(text):
+    return text + "gout,2740\n"
+
+
+@pytest.mark.parametrize("rel, edit, step, named", [
+    ("inputs/comorbidity_map.csv", _replace_header, "cohort", "comorbidity_map.csv"),
+    ("inputs/comorbidity_map.csv", _drop_condition, "cohort", "congestive_heart_failure"),
+    ("inputs/comorbidity_map.csv", _add_condition, "cohort", "gout"),
+    ("inputs/procedures.csv", _replace_header, "classify", "procedures.csv"),
+    ("inputs/antidepressants.csv", _replace_header, "cohort", "antidepressants.csv"),
+    ("profiles.csv", _drop_header, "cohort", "profiles.csv"),
+], ids=["comorbidity_map_header", "comorbidity_map_missing", "comorbidity_map_unknown",
+        "procedures_header", "antidepressants_header", "profiles_header"])
+def test_bad_reference_file_is_one_line_validation_error(
+        tmp_path, sim_file, capsys, rel, edit, step, named):
+    out = str(tmp_path / "r")
+    for s in ["simulate", "classify"]:
+        assert main([s, "--out", out, "--sim", sim_file]) == 0
+    path = os.path.join(out, rel)
+    text = open(path).read()
+    open(path, "w").write(edit(text))
+    capsys.readouterr()
+    assert main([step, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert len(err.splitlines()) == 1
