@@ -10,6 +10,7 @@ import enum
 import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from typing import Callable, NamedTuple
 
 
 class ClaimsError(Exception):
@@ -28,16 +29,16 @@ class UnknownColumn(ClaimsError):
     pass
 
 
-class DuplicateClaimId(ClaimsError):
-    pass
-
-
 class InvalidDate(ClaimsError):
     pass
 
 
 class CalendarMisconfigured(ClaimsError):
     pass
+
+
+class MissingCatalogEntry(ClaimsError):
+    """A fill in a queried window whose drug_code the catalog lacks."""
 
 
 def days_between(a: date, b: date) -> int:
@@ -230,24 +231,12 @@ class RejectedRow:
     reason: str
 
 
-ENROLLMENT_COLUMNS = ["person_id", "start", "end"]
-PHARMACY_COLUMNS = ["person_id", "fill_date", "drug_code", "quantity", "days_supply"]
-MEDICAL_COLUMNS = [
-    "claim_id", "person_id", "provider_id", "provider_type", "cpt",
-    "service_date", "admission_date", "discharge_date", "setting",
-] + [f"dx{i}" for i in range(1, 11)]
-PERSONS_COLUMNS = ["person_id", "birth_year", "sex"]
-DRUG_CATALOG_COLUMNS = [
-    "drug_code", "ingredient", "is_oral_analgesic_opioid",
-    "strength_mg_per_unit", "mme_factor",
-]
-
 MAX_DIAGNOSES = 10
 
 
 @dataclass
 class ClaimsStore:
-    """Immutable post-parse store, indexed by person and provider.
+    """Immutable post-parse store, indexed by person.
 
     All index lists are sorted canonically so downstream results do not
     depend on input row order.
@@ -257,7 +246,6 @@ class ClaimsStore:
     enrollment: dict[str, list[EnrollmentSpan]] = field(default_factory=dict)
     pharmacy: dict[str, list[PharmacyClaim]] = field(default_factory=dict)
     medical: dict[str, list[MedicalClaim]] = field(default_factory=dict)
-    medical_by_provider: dict[str, list[MedicalClaim]] = field(default_factory=dict)
     demographics: dict[str, PersonDemographics] = field(default_factory=dict)
     catalog: dict[str, DrugCatalogEntry] = field(default_factory=dict)
     parsed_counts: dict[str, int] = field(default_factory=dict)
@@ -272,6 +260,28 @@ class ClaimsStore:
 
     def persons_with_medical_claims(self) -> list[str]:
         return sorted(self.medical)
+
+
+def opioid_fills_in_window(
+    store: ClaimsStore, person_id: str, anchor: date, lo: int, hi: int
+) -> list[tuple[int, PharmacyClaim, DrugCatalogEntry]]:
+    """(offset, fill, entry) for the person's oral-analgesic opioid fills
+    with lo <= fill_date - anchor <= hi, in stored order.
+
+    Exposure, the opioid-naive check and the outcomes all use this one
+    rule. An uncatalogued fill in the window raises MissingCatalogEntry.
+    """
+    out = []
+    for fill in store.pharmacy.get(person_id, ()):
+        offset = days_between(anchor, fill.fill_date)
+        if not (lo <= offset <= hi):
+            continue
+        entry = store.catalog.get(fill.drug_code)
+        if entry is None:
+            raise MissingCatalogEntry(fill.drug_code)
+        if entry.is_oral_analgesic_opioid:
+            out.append((offset, fill, entry))
+    return out
 
 
 def read_csv_rows(path: str, expected: list[str]):
@@ -295,155 +305,171 @@ def read_csv_rows(path: str, expected: list[str]):
             yield lineno, row
 
 
-def _build_store(
-    calendar: StudyCalendar,
-    enrollment_rows,
-    pharmacy_rows,
-    medical_rows,
-    persons_rows,
-    catalog_rows,
-) -> ClaimsStore:
-    store = ClaimsStore(calendar=calendar)
-    raw_enrollment: dict[str, list[EnrollmentSpan]] = {}
+def check_field_count(row: list[str], columns: list[str]) -> None:
+    if len(row) != len(columns):
+        raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
 
-    # The catalog comes first: a fill whose drug_code it lacks is rejected.
-    n = 0
-    for lineno, row in catalog_rows:
-        n += 1
+
+def read_reference_csv(path: str, columns: list[str], parse) -> list:
+    """``parse(row)`` for each data row of a reference file.
+
+    The first row with the wrong field count or a bad value raises
+    MalformedRow naming the file and line.
+    """
+    out = []
+    for lineno, row in read_csv_rows(path, columns):
         try:
-            if len(row) != len(DRUG_CATALOG_COLUMNS):
-                raise ValueError(f"expected {len(DRUG_CATALOG_COLUMNS)} fields, got {len(row)}")
-            code = row[0].strip()
-            ingredient = OpioidIngredient(row[1].strip())
-            flag = row[2].strip().lower()
-            if flag not in ("true", "false", "1", "0"):
-                raise ValueError(f"bad boolean {row[2]!r}")
-            is_oral = flag in ("true", "1")
-            strength = float(row[3]) if row[3].strip() else 0.0
-            factor = float(row[4]) if row[4].strip() else 0.0
-            if is_oral and (ingredient is OpioidIngredient.NONE or factor <= 0):
-                raise ValueError("oral analgesic opioid requires an ingredient and mme_factor > 0")
-            if ingredient is not OpioidIngredient.NONE and is_oral and strength <= 0:
-                raise ValueError("opioid entries need positive strength")
-            if code in store.catalog:
-                raise ValueError(f"duplicate drug_code {code}")
-            store.catalog[code] = DrugCatalogEntry(code, ingredient, is_oral, strength, factor)
+            check_field_count(row, columns)
+            out.append(parse(row))
         except (ValueError, InvalidDate) as e:
-            store.rejected.append(RejectedRow("drug_catalog.csv", lineno, str(e)))
-    store.parsed_counts["drug_catalog.csv"] = n - store.rejected_counts.get("drug_catalog.csv", 0)
+            raise MalformedRow(path, lineno, str(e)) from None
+    return out
 
-    n = 0
-    for lineno, row in enrollment_rows:
-        n += 1
-        try:
-            if len(row) != len(ENROLLMENT_COLUMNS):
-                raise ValueError(f"expected {len(ENROLLMENT_COLUMNS)} fields, got {len(row)}")
-            pid = row[0].strip()
-            start = parse_iso_date(row[1])
-            end = parse_iso_date(row[2])
-            if not pid:
-                raise ValueError("empty person_id")
-            if start > end:
-                raise ValueError("span start after end")
-            raw_enrollment.setdefault(pid, []).append(EnrollmentSpan(pid, start, end))
-        except (ValueError, InvalidDate) as e:
-            store.rejected.append(RejectedRow("enrollment.csv", lineno, str(e)))
-    store.parsed_counts["enrollment.csv"] = n - store.rejected_counts.get("enrollment.csv", 0)
 
-    n = 0
-    for lineno, row in pharmacy_rows:
-        n += 1
-        try:
-            if len(row) != len(PHARMACY_COLUMNS):
-                raise ValueError(f"expected {len(PHARMACY_COLUMNS)} fields, got {len(row)}")
-            pid = row[0].strip()
-            fill = parse_iso_date(row[1])
-            code = row[2].strip()
-            quantity = float(row[3])
-            if not pid or not code:
-                raise ValueError("empty person_id or drug_code")
-            if quantity <= 0:
-                raise ValueError(f"quantity must be positive, got {row[3]}")
-            if code not in store.catalog:
-                raise ValueError(f"drug_code {code!r} is not in drug_catalog.csv")
-            supply = int(row[4]) if row[4].strip() else None
-            store.pharmacy.setdefault(pid, []).append(
-                PharmacyClaim(pid, fill, code, quantity, supply)
-            )
-        except (ValueError, InvalidDate) as e:
-            store.rejected.append(RejectedRow("pharmacy.csv", lineno, str(e)))
-    store.parsed_counts["pharmacy.csv"] = n - store.rejected_counts.get("pharmacy.csv", 0)
+def _fmt_num(x: float) -> str:
+    return repr(int(x)) if float(x).is_integer() else repr(x)
 
-    seen_claim_ids: set[str] = set()
-    n = 0
-    for lineno, row in medical_rows:
-        n += 1
-        try:
-            if len(row) != len(MEDICAL_COLUMNS):
-                raise ValueError(f"expected {len(MEDICAL_COLUMNS)} fields, got {len(row)}")
-            claim_id = row[0].strip()
-            if not claim_id:
-                raise ValueError("empty claim_id")
-            if claim_id in seen_claim_ids:
-                raise ValueError(f"duplicate claim_id {claim_id}")
-            pid = row[1].strip()
-            provider_id = row[2].strip()
-            provider_type = ProviderType(row[3].strip())
-            cpt = row[4].strip()
-            service = parse_iso_date(row[5])
-            admission = parse_iso_date(row[6]) if row[6].strip() else None
-            discharge = parse_iso_date(row[7]) if row[7].strip() else None
-            setting = Setting(row[8].strip())
-            if (setting is Setting.INPATIENT) != (discharge is not None):
-                raise ValueError("setting=Inpatient iff discharge_date present")
-            if admission is not None and admission > service:
-                raise ValueError("admission_date after service_date")
-            if discharge is not None and service > discharge:
-                raise ValueError("service_date after discharge_date")
-            if len(cpt) != 5:
-                raise ValueError(f"cpt must be 5 characters, got {cpt!r}")
-            dx = tuple(normalize_dx(c) for c in row[9:9 + MAX_DIAGNOSES] if c.strip())
-            claim = MedicalClaim(
-                claim_id, pid, provider_id, provider_type, cpt,
-                service, admission, discharge, setting, dx,
-            )
-            seen_claim_ids.add(claim_id)
-            store.medical.setdefault(pid, []).append(claim)
-            store.medical_by_provider.setdefault(provider_id, []).append(claim)
-        except (ValueError, InvalidDate) as e:
-            store.rejected.append(RejectedRow("medical.csv", lineno, str(e)))
-    store.parsed_counts["medical.csv"] = n - store.rejected_counts.get("medical.csv", 0)
 
-    n = 0
-    for lineno, row in persons_rows:
-        n += 1
-        try:
-            if len(row) != len(PERSONS_COLUMNS):
-                raise ValueError(f"expected {len(PERSONS_COLUMNS)} fields, got {len(row)}")
-            pid = row[0].strip()
-            birth_year = int(row[1])
-            sex = Sex(row[2].strip())
-            if not pid:
-                raise ValueError("empty person_id")
-            if not (1880 <= birth_year <= calendar.post_end.year):
-                raise ValueError(f"implausible birth_year {birth_year}")
-            if pid in store.demographics:
-                raise ValueError(f"duplicate person_id {pid}")
-            store.demographics[pid] = PersonDemographics(pid, birth_year, sex)
-        except (ValueError, InvalidDate) as e:
-            store.rejected.append(RejectedRow("persons.csv", lineno, str(e)))
-    store.parsed_counts["persons.csv"] = n - store.rejected_counts.get("persons.csv", 0)
+# Row parsers get a row with the right field count, the calendar and the
+# drug codes accepted so far; a bad value raises ValueError or InvalidDate.
 
-    # Canonical post-parse normalization: merged spans, sorted indexes.
-    for pid, spans in raw_enrollment.items():
-        store.enrollment[pid] = merge_enrollment_spans(spans)
-    for pid in store.pharmacy:
-        store.pharmacy[pid].sort(key=lambda c: (c.fill_date, c.drug_code, c.quantity))
-    for pid in store.medical:
-        store.medical[pid].sort(key=lambda c: (c.service_date, c.claim_id))
-    for prov in store.medical_by_provider:
-        store.medical_by_provider[prov].sort(key=lambda c: (c.service_date, c.claim_id))
-    return store
+def _parse_catalog(row, calendar, drug_codes) -> DrugCatalogEntry:
+    code = row[0].strip()
+    ingredient = OpioidIngredient(row[1].strip())
+    flag = row[2].strip().lower()
+    if flag not in ("true", "false", "1", "0"):
+        raise ValueError(f"bad boolean {row[2]!r}")
+    is_oral = flag in ("true", "1")
+    strength = float(row[3]) if row[3].strip() else 0.0
+    factor = float(row[4]) if row[4].strip() else 0.0
+    if is_oral and (ingredient is OpioidIngredient.NONE or factor <= 0):
+        raise ValueError("oral analgesic opioid requires an ingredient and mme_factor > 0")
+    if ingredient is not OpioidIngredient.NONE and is_oral and strength <= 0:
+        raise ValueError("opioid entries need positive strength")
+    return DrugCatalogEntry(code, ingredient, is_oral, strength, factor)
+
+
+def _parse_enrollment(row, calendar, drug_codes) -> EnrollmentSpan:
+    pid = row[0].strip()
+    start = parse_iso_date(row[1])
+    end = parse_iso_date(row[2])
+    if not pid:
+        raise ValueError("empty person_id")
+    if start > end:
+        raise ValueError("span start after end")
+    return EnrollmentSpan(pid, start, end)
+
+
+def _parse_pharmacy(row, calendar, drug_codes) -> PharmacyClaim:
+    pid = row[0].strip()
+    fill = parse_iso_date(row[1])
+    code = row[2].strip()
+    quantity = float(row[3])
+    if not pid or not code:
+        raise ValueError("empty person_id or drug_code")
+    if quantity <= 0:
+        raise ValueError(f"quantity must be positive, got {row[3]}")
+    if code not in drug_codes:
+        raise ValueError(f"drug_code {code!r} is not in drug_catalog.csv")
+    supply = int(row[4]) if row[4].strip() else None
+    return PharmacyClaim(pid, fill, code, quantity, supply)
+
+
+def _parse_medical(row, calendar, drug_codes) -> MedicalClaim:
+    claim_id = row[0].strip()
+    if not claim_id:
+        raise ValueError("empty claim_id")
+    pid = row[1].strip()
+    provider_id = row[2].strip()
+    provider_type = ProviderType(row[3].strip())
+    cpt = row[4].strip()
+    service = parse_iso_date(row[5])
+    admission = parse_iso_date(row[6]) if row[6].strip() else None
+    discharge = parse_iso_date(row[7]) if row[7].strip() else None
+    setting = Setting(row[8].strip())
+    if (setting is Setting.INPATIENT) != (discharge is not None):
+        raise ValueError("setting=Inpatient iff discharge_date present")
+    if admission is not None and admission > service:
+        raise ValueError("admission_date after service_date")
+    if discharge is not None and service > discharge:
+        raise ValueError("service_date after discharge_date")
+    if len(cpt) != 5:
+        raise ValueError(f"cpt must be 5 characters, got {cpt!r}")
+    dx = tuple(normalize_dx(c) for c in row[9:9 + MAX_DIAGNOSES] if c.strip())
+    return MedicalClaim(
+        claim_id, pid, provider_id, provider_type, cpt,
+        service, admission, discharge, setting, dx,
+    )
+
+
+def _parse_persons(row, calendar, drug_codes) -> PersonDemographics:
+    pid = row[0].strip()
+    birth_year = int(row[1])
+    sex = Sex(row[2].strip())
+    if not pid:
+        raise ValueError("empty person_id")
+    if not (1880 <= birth_year <= calendar.post_end.year):
+        raise ValueError(f"implausible birth_year {birth_year}")
+    return PersonDemographics(pid, birth_year, sex)
+
+
+class InputFile(NamedTuple):
+    """One input CSV: header, row parser, row formatter, the ClaimsStore
+    field of its records, and whether its first column is a unique key."""
+
+    name: str
+    columns: list[str]
+    parse: Callable
+    format: Callable
+    index: str
+    unique: bool = False
+
+
+# The catalog comes first: a fill whose drug_code it lacks is rejected.
+INPUT_FILES = [
+    InputFile(
+        "drug_catalog.csv",
+        ["drug_code", "ingredient", "is_oral_analgesic_opioid",
+         "strength_mg_per_unit", "mme_factor"],
+        _parse_catalog,
+        lambda e: [e.drug_code, e.opioid_ingredient.value,
+                   "true" if e.is_oral_analgesic_opioid else "false",
+                   _fmt_num(e.strength_mg_per_unit), _fmt_num(e.mme_factor)],
+        "catalog", unique=True,
+    ),
+    InputFile(
+        "enrollment.csv", ["person_id", "start", "end"], _parse_enrollment,
+        lambda s: [s.person_id, s.start.isoformat(), s.end.isoformat()],
+        "enrollment",
+    ),
+    InputFile(
+        "pharmacy.csv", ["person_id", "fill_date", "drug_code", "quantity", "days_supply"],
+        _parse_pharmacy,
+        lambda c: [c.person_id, c.fill_date.isoformat(), c.drug_code, _fmt_num(c.quantity),
+                   "" if c.days_supply is None else c.days_supply],
+        "pharmacy",
+    ),
+    InputFile(
+        "medical.csv",
+        ["claim_id", "person_id", "provider_id", "provider_type", "cpt",
+         "service_date", "admission_date", "discharge_date", "setting"]
+        + [f"dx{i}" for i in range(1, MAX_DIAGNOSES + 1)],
+        _parse_medical,
+        lambda c: [
+            c.claim_id, c.person_id, c.provider_id, c.provider_type.value,
+            c.cpt_code, c.service_date.isoformat(),
+            "" if c.admission_date is None else c.admission_date.isoformat(),
+            "" if c.discharge_date is None else c.discharge_date.isoformat(),
+            c.setting.value, *c.diagnoses, *[""] * (MAX_DIAGNOSES - len(c.diagnoses)),
+        ],
+        "medical", unique=True,
+    ),
+    InputFile(
+        "persons.csv", ["person_id", "birth_year", "sex"], _parse_persons,
+        lambda d: [d.person_id, d.birth_year, d.sex.value],
+        "demographics", unique=True,
+    ),
+]
 
 
 def parse_inputs(input_dir: str, calendar: StudyCalendar | None = None) -> ClaimsStore:
@@ -454,22 +480,33 @@ def parse_inputs(input_dir: str, calendar: StudyCalendar | None = None) -> Claim
     """
     if calendar is None:
         calendar = StudyCalendar()
-    paths = {
-        name: os.path.join(input_dir, name)
-        for name in ("enrollment.csv", "pharmacy.csv", "medical.csv",
-                     "persons.csv", "drug_catalog.csv")
-    }
-    for name, p in paths.items():
+    paths = [os.path.join(input_dir, f.name) for f in INPUT_FILES]
+    for p in paths:
         if not os.path.exists(p):
             raise FileNotFoundError(p)
-    return _build_store(
-        calendar,
-        read_csv_rows(paths["enrollment.csv"], ENROLLMENT_COLUMNS),
-        read_csv_rows(paths["pharmacy.csv"], PHARMACY_COLUMNS),
-        read_csv_rows(paths["medical.csv"], MEDICAL_COLUMNS),
-        read_csv_rows(paths["persons.csv"], PERSONS_COLUMNS),
-        read_csv_rows(paths["drug_catalog.csv"], DRUG_CATALOG_COLUMNS),
+    records: dict[str, list] = {}
+    rejected: list[RejectedRow] = []
+    keys = {f.name: set() for f in INPUT_FILES}   # accepted first columns
+    for f, path in zip(INPUT_FILES, paths):
+        accepted = records[f.name] = []
+        for lineno, row in read_csv_rows(path, f.columns):
+            try:
+                check_field_count(row, f.columns)
+                record = f.parse(row, calendar, keys["drug_catalog.csv"])
+                if f.unique:
+                    key = row[0].strip()
+                    if key in keys[f.name]:
+                        raise ValueError(f"duplicate {f.columns[0]} {key}")
+                    keys[f.name].add(key)
+                accepted.append(record)
+            except (ValueError, InvalidDate) as e:
+                rejected.append(RejectedRow(f.name, lineno, str(e)))
+    store = store_from_records(
+        calendar, records["enrollment.csv"], records["pharmacy.csv"],
+        records["medical.csv"], records["persons.csv"], records["drug_catalog.csv"],
     )
+    store.rejected = rejected
+    return store
 
 
 def store_from_records(
@@ -480,7 +517,11 @@ def store_from_records(
     persons: list[PersonDemographics],
     catalog: list[DrugCatalogEntry],
 ) -> ClaimsStore:
-    """Assemble a normalized store from in-memory records (no file I/O)."""
+    """The normalized store of parsed or generated records.
+
+    Spans are merged, claims grouped by person and sorted canonically,
+    and ``parsed_counts`` holds each list's length.
+    """
     store = ClaimsStore(calendar=calendar)
     raw: dict[str, list[EnrollmentSpan]] = {}
     for s in enrollment:
@@ -491,17 +532,12 @@ def store_from_records(
         store.pharmacy.setdefault(c.person_id, []).append(c)
     for c in medical:
         store.medical.setdefault(c.person_id, []).append(c)
-        store.medical_by_provider.setdefault(c.provider_id, []).append(c)
-    for d in persons:
-        store.demographics[d.person_id] = d
-    for e in catalog:
-        store.catalog[e.drug_code] = e
-    for pid in store.pharmacy:
-        store.pharmacy[pid].sort(key=lambda c: (c.fill_date, c.drug_code, c.quantity))
-    for pid in store.medical:
-        store.medical[pid].sort(key=lambda c: (c.service_date, c.claim_id))
-    for prov in store.medical_by_provider:
-        store.medical_by_provider[prov].sort(key=lambda c: (c.service_date, c.claim_id))
+    for fills in store.pharmacy.values():
+        fills.sort(key=lambda c: (c.fill_date, c.drug_code, c.quantity))
+    for claims in store.medical.values():
+        claims.sort(key=lambda c: (c.service_date, c.claim_id))
+    store.demographics = {d.person_id: d for d in persons}
+    store.catalog = {e.drug_code: e for e in catalog}
     store.parsed_counts = {
         "enrollment.csv": len(enrollment),
         "pharmacy.csv": len(pharmacy),
@@ -512,10 +548,6 @@ def store_from_records(
     return store
 
 
-def _fmt_num(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() else repr(x)
-
-
 def write_store(store: ClaimsStore, out_dir: str) -> list[str]:
     """Write the normalized store back to the five input CSVs.
 
@@ -524,56 +556,14 @@ def write_store(store: ClaimsStore, out_dir: str) -> list[str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    def _open(name, columns):
-        path = os.path.join(out_dir, name)
+    for f in INPUT_FILES:
+        path = os.path.join(out_dir, f.name)
+        with open(path, "w", newline="", encoding="utf-8") as out:
+            w = csv.writer(out)
+            w.writerow(f.columns)
+            index = getattr(store, f.index)
+            for key in sorted(index):
+                records = index[key]   # a person's list, or one record
+                w.writerows(map(f.format, records if isinstance(records, list) else [records]))
         written.append(path)
-        f = open(path, "w", newline="", encoding="utf-8")
-        w = csv.writer(f)
-        w.writerow(columns)
-        return f, w
-
-    f, w = _open("enrollment.csv", ENROLLMENT_COLUMNS)
-    for pid in sorted(store.enrollment):
-        for s in store.enrollment[pid]:
-            w.writerow([s.person_id, s.start.isoformat(), s.end.isoformat()])
-    f.close()
-
-    f, w = _open("pharmacy.csv", PHARMACY_COLUMNS)
-    for pid in sorted(store.pharmacy):
-        for c in store.pharmacy[pid]:
-            w.writerow([
-                c.person_id, c.fill_date.isoformat(), c.drug_code,
-                _fmt_num(c.quantity), "" if c.days_supply is None else c.days_supply,
-            ])
-    f.close()
-
-    f, w = _open("medical.csv", MEDICAL_COLUMNS)
-    for pid in sorted(store.medical):
-        for c in store.medical[pid]:
-            dx = list(c.diagnoses) + [""] * (MAX_DIAGNOSES - len(c.diagnoses))
-            w.writerow([
-                c.claim_id, c.person_id, c.provider_id, c.provider_type.value,
-                c.cpt_code, c.service_date.isoformat(),
-                "" if c.admission_date is None else c.admission_date.isoformat(),
-                "" if c.discharge_date is None else c.discharge_date.isoformat(),
-                c.setting.value, *dx,
-            ])
-    f.close()
-
-    f, w = _open("persons.csv", PERSONS_COLUMNS)
-    for pid in sorted(store.demographics):
-        d = store.demographics[pid]
-        w.writerow([d.person_id, d.birth_year, d.sex.value])
-    f.close()
-
-    f, w = _open("drug_catalog.csv", DRUG_CATALOG_COLUMNS)
-    for code in sorted(store.catalog):
-        e = store.catalog[code]
-        w.writerow([
-            e.drug_code, e.opioid_ingredient.value,
-            "true" if e.is_oral_analgesic_opioid else "false",
-            _fmt_num(e.strength_mg_per_unit), _fmt_num(e.mme_factor),
-        ])
-    f.close()
     return written

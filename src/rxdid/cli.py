@@ -198,7 +198,8 @@ def step_simulate(args, run: _Run) -> list[str]:
 def step_classify(args, run: _Run) -> list[str]:
     calendar = run.calendar
     store = run.store
-    codes = _procedure_codes(_inputs_dir(args.out))
+    codes = _reference(_inputs_dir(args.out), "procedures.csv",
+                       ProcedureCodeSet.from_file, ProcedureCodeSet())
     low, high, min_cases = _thresholds(args)
     events = find_index_events(store, codes, calendar.profiling_start, calendar.profiling_end)
     profiles = classify_providers(events, store, min_cases=min_cases, low=low, high=high)
@@ -207,25 +208,10 @@ def step_classify(args, run: _Run) -> list[str]:
     return [path]
 
 
-def _procedure_codes(inputs: str) -> ProcedureCodeSet:
-    path = os.path.join(inputs, "procedures.csv")
-    if os.path.exists(path):
-        return ProcedureCodeSet.from_file(path)
-    return ProcedureCodeSet()
-
-
-def _comorbidity_map(inputs: str) -> ComorbidityMap:
-    path = os.path.join(inputs, "comorbidity_map.csv")
-    if os.path.exists(path):
-        return ComorbidityMap.from_file(path)
-    return ComorbidityMap.default()
-
-
-def _antidepressants(inputs: str) -> frozenset:
-    path = os.path.join(inputs, "antidepressants.csv")
-    if os.path.exists(path):
-        return read_antidepressants_csv(path)
-    return frozenset()
+def _reference(inputs: str, name: str, read, default):
+    """``read`` inputs/<name> when the file is there, else the built-in default."""
+    path = os.path.join(inputs, name)
+    return read(path) if os.path.exists(path) else default
 
 
 def step_cohort(args, run: _Run) -> list[str]:
@@ -234,14 +220,18 @@ def step_cohort(args, run: _Run) -> list[str]:
     if not os.path.exists(profiles_path):
         raise MissingInput(f"{profiles_path} not found; run `classify` first")
     store = run.store
-    codes = _procedure_codes(inputs)
+    codes = _reference(inputs, "procedures.csv", ProcedureCodeSet.from_file, ProcedureCodeSet())
     profiles = read_profiles_csv(profiles_path)
     rows, audit = build_cohort(store, profiles, run.calendar, codes)
     cohort_path = os.path.join(args.out, "cohort.csv")
     excl_path = os.path.join(args.out, "exclusions.csv")
     write_cohort_csv(cohort_path, rows)
     write_exclusions_csv(excl_path, audit)
-    table = build_analysis_table(rows, store, _comorbidity_map(inputs), _antidepressants(inputs))
+    cmap = _reference(inputs, "comorbidity_map.csv", ComorbidityMap.from_file,
+                      ComorbidityMap.default())
+    antidepressants = _reference(inputs, "antidepressants.csv", read_antidepressants_csv,
+                                 frozenset())
+    table = build_analysis_table(rows, store, cmap, antidepressants)
     table_path = os.path.join(args.out, "analysis_table.csv")
     write_analysis_table(table_path, table)
     # Equal bit for bit to what read_analysis_table gives back from the file.

@@ -16,6 +16,7 @@ from .claims_core import (
     StudyCalendar,
     days_between,
     index_anchor_dates,
+    opioid_fills_in_window,
 )
 from .prescriber_profile import (
     IndexEvent,
@@ -23,7 +24,6 @@ from .prescriber_profile import (
     ProviderClass,
     ProviderProfile,
     eligible_procedure_claims,
-    qualifying_fills_in_window,
     _event_from_claim,
 )
 
@@ -178,9 +178,7 @@ def _evaluate_person(
         return ExclusionReason.NO_OPIOID_FILL_WITHIN_7_DAYS
 
     # Opioid-naive: no oral-analgesic fill in days -90..-1 before early_anchor.
-    if qualifying_fills_in_window(
-        store, person_id, early_anchor, lo=-NAIVE_LOOKBACK_DAYS, hi=-1
-    ):
+    if opioid_fills_in_window(store, person_id, early_anchor, -NAIVE_LOOKBACK_DAYS, -1):
         return ExclusionReason.NOT_OPIOID_NAIVE
 
     exposure = (

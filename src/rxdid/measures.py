@@ -8,11 +8,13 @@ from .claims_core import (
     ClaimsError,
     ClaimsStore,
     DrugCatalogEntry,
+    MissingCatalogEntry,  # re-exported; raised by opioid_fills_in_window
     PharmacyClaim,
     ProviderType,
     Sex,
     days_between,
-    read_csv_rows,
+    opioid_fills_in_window,
+    read_reference_csv,
 )
 from .cohort_builder import CohortRow, LosCategory
 
@@ -29,10 +31,6 @@ class MeasureError(Exception):
 
 
 class NotAnalgesicOpioid(MeasureError):
-    pass
-
-
-class MissingCatalogEntry(MeasureError):
     pass
 
 
@@ -59,25 +57,10 @@ def mme_of_fill(claim: PharmacyClaim, entry: DrugCatalogEntry) -> float:
     return entry.strength_mg_per_unit * claim.quantity * entry.mme_factor
 
 
-def _opioid_fills_relative(store: ClaimsStore, person_id: str, anchor, lo: int, hi: int):
-    """(offset, fill, entry) for oral-analgesic fills with lo <= offset <= hi."""
-    out = []
-    for fill in store.pharmacy.get(person_id, ()):
-        offset = days_between(anchor, fill.fill_date)
-        if not (lo <= offset <= hi):
-            continue
-        entry = store.catalog.get(fill.drug_code)
-        if entry is None:
-            raise MissingCatalogEntry(fill.drug_code)
-        if entry.is_oral_analgesic_opioid:
-            out.append((offset, fill, entry))
-    return out
-
-
 def compute_outcomes(row: CohortRow, store: ClaimsStore) -> OutcomeVector:
     """The four outcomes, all windows anchored at the index late_anchor."""
     anchor = row.index_event.late_anchor
-    fills = _opioid_fills_relative(store, row.person_id, anchor, 0, PERSISTENCE_END)
+    fills = opioid_fills_in_window(store, row.person_id, anchor, 0, PERSISTENCE_END)
 
     window_7 = [t for t in fills if t[0] <= INITIAL_FILL_WINDOW]
     first_day = min(t[0] for t in window_7)
@@ -163,10 +146,11 @@ class ComorbidityMap:
     def from_file(cls, path: str) -> "ComorbidityMap":
         """Read a map whose conditions are exactly COMORBIDITY_ORDER."""
         conditions: dict[str, list[str]] = {}
-        for _, row in read_csv_rows(path, ["condition", "icd9_prefix"]):
-            conditions.setdefault(row[0].strip(), []).append(
-                row[1].replace(".", "").strip().upper()
-            )
+        for condition, prefix in read_reference_csv(
+            path, ["condition", "icd9_prefix"],
+            lambda row: (row[0].strip(), row[1].replace(".", "").strip().upper()),
+        ):
+            conditions.setdefault(condition, []).append(prefix)
         missing = [c for c in COMORBIDITY_ORDER if c not in conditions]
         unknown = sorted(set(conditions) - set(COMORBIDITY_ORDER))
         if missing or unknown:
@@ -174,9 +158,6 @@ class ComorbidityMap:
                 f"{path}: missing conditions {missing}, unknown conditions {unknown}"
             )
         return cls({k: tuple(v) for k, v in conditions.items()})
-
-    def matches(self, condition: str, dx: str) -> bool:
-        return condition in self.conditions_for(dx)
 
     def conditions_for(self, dx: str) -> frozenset[str]:
         """All conditions whose prefix list matches this normalized code."""
@@ -233,9 +214,7 @@ COVARIATE_COLUMNS = (
 
 
 def read_antidepressants_csv(path: str) -> frozenset[str]:
-    return frozenset(
-        row[0].strip() for _, row in read_csv_rows(path, ["drug_code"]) if row[0].strip()
-    )
+    return frozenset(read_reference_csv(path, ["drug_code"], lambda row: row[0].strip()))
 
 
 def write_antidepressants_csv(path: str, codes) -> None:

@@ -8,14 +8,15 @@ from datetime import date
 from fractions import Fraction
 
 from .claims_core import (
+    ClaimsError,
     ClaimsStore,
     MedicalClaim,
     OpioidIngredient,
     PharmacyClaim,
     ProviderType,
-    days_between,
     index_anchor_dates,
-    read_csv_rows,
+    opioid_fills_in_window,
+    read_reference_csv,
 )
 
 
@@ -28,6 +29,10 @@ class InvalidThresholds(ProfileError):
 
 
 class EmptyProfileSet(ProfileError):
+    pass
+
+
+class AmbiguousProcedureCode(ClaimsError):
     pass
 
 
@@ -59,24 +64,26 @@ class ProcedureCodeSet:
     hip_fracture_dx_prefix: str = HIP_FRACTURE_DX_PREFIX
 
     def __post_init__(self):
-        seen: set[str] = set()
+        owner: dict[str, str] = {}
         for name, codes in self.procedures.items():
-            overlap = seen & codes
-            if overlap:
-                raise ValueError(f"CPT codes {sorted(overlap)} appear in multiple procedures")
-            seen |= codes
+            for code in sorted(codes):
+                if code in owner:
+                    raise AmbiguousProcedureCode(
+                        f"CPT code {code} is listed under both {owner[code]} and {name}"
+                    )
+                owner[code] = name
+        object.__setattr__(self, "_owner", owner)
 
     def procedure_of(self, cpt: str) -> str | None:
-        for name, codes in self.procedures.items():
-            if cpt in codes:
-                return name
-        return None
+        return self._owner.get(cpt)
 
     @classmethod
     def from_file(cls, path: str) -> "ProcedureCodeSet":
         procs: dict[str, set[str]] = {}
-        for _, row in read_csv_rows(path, ["procedure_name", "cpt"]):
-            procs.setdefault(row[0].strip(), set()).add(row[1].strip())
+        for name, cpt in read_reference_csv(
+            path, ["procedure_name", "cpt"], lambda row: (row[0].strip(), row[1].strip())
+        ):
+            procs.setdefault(name, set()).add(cpt)
         return cls({name: frozenset(codes) for name, codes in procs.items()})
 
 
@@ -108,10 +115,6 @@ class IndexEvent:
     late_anchor: date
     first_opioid_fills: tuple[PharmacyClaim, ...]
 
-    @property
-    def first_fill_date(self) -> date:
-        return self.first_opioid_fills[0].fill_date
-
 
 @dataclass(frozen=True)
 class ProviderProfile:
@@ -121,22 +124,6 @@ class ProviderProfile:
     n_hydrocodone: int
     hydrocodone_share: Fraction
     provider_class: ProviderClass
-
-
-def qualifying_fills_in_window(
-    store: ClaimsStore, person_id: str, anchor: date,
-    lo: int = 0, hi: int = OPIOID_FILL_WINDOW_DAYS,
-) -> list[PharmacyClaim]:
-    """Oral-analgesic opioid fills with lo <= fill_date - anchor <= hi."""
-    out = []
-    for fill in store.pharmacy.get(person_id, ()):
-        entry = store.catalog.get(fill.drug_code)
-        if entry is None or not entry.is_oral_analgesic_opioid:
-            continue
-        offset = days_between(anchor, fill.fill_date)
-        if lo <= offset <= hi:
-            out.append(fill)
-    return out
 
 
 def eligible_procedure_claims(
@@ -164,11 +151,11 @@ def _event_from_claim(
     store: ClaimsStore, name: str, claim: MedicalClaim
 ) -> IndexEvent | None:
     early, late = index_anchor_dates(claim)
-    fills = qualifying_fills_in_window(store, claim.person_id, late)
+    fills = opioid_fills_in_window(store, claim.person_id, late, 0, OPIOID_FILL_WINDOW_DAYS)
     if not fills:
         return None
-    earliest = min(f.fill_date for f in fills)
-    first = tuple(f for f in fills if f.fill_date == earliest)
+    first_day = min(offset for offset, _, _ in fills)
+    first = tuple(f for offset, f, _ in fills if offset == first_day)
     return IndexEvent(
         claim.person_id, claim.provider_id, claim.provider_type,
         name, claim, early, late, first,
@@ -299,12 +286,17 @@ def write_profiles_csv(path: str, profiles: dict[str, ProviderProfile]) -> None:
             ])
 
 
+def _parse_profile(row: list[str]) -> ProviderProfile:
+    num, _, den = row[4].partition("/")
+    if int(den) == 0:
+        raise ValueError(f"share {row[4]!r} has a zero denominator")
+    return ProviderProfile(
+        row[0], ProviderType(row[1]), int(row[2]), int(row[3]),
+        Fraction(int(num), int(den)), ProviderClass(row[5]),
+    )
+
+
 def read_profiles_csv(path: str) -> dict[str, ProviderProfile]:
-    profiles = {}
-    for _, row in read_csv_rows(path, PROFILE_COLUMNS):
-        num, _, den = row[4].partition("/")
-        profiles[row[0]] = ProviderProfile(
-            row[0], ProviderType(row[1]), int(row[2]), int(row[3]),
-            Fraction(int(num), int(den)), ProviderClass(row[5]),
-        )
-    return profiles
+    return {
+        p.provider_id: p for p in read_reference_csv(path, PROFILE_COLUMNS, _parse_profile)
+    }

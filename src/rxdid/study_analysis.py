@@ -486,13 +486,8 @@ def assemble_report(
     audit: dict | None = None,
     profile_summary: dict | None = None,
     did: dict[str, DidEstimate] | None = None,
-    pretrend: dict[str, PretrendResult] | None = None,
 ) -> dict:
-    """Merge available pieces into the report structure.
-
-    The pretrend section carries rendered summary lines alongside the raw
-    numbers so report text is reproducible from the estimates alone.
-    """
+    """Merge available pieces into the report structure."""
     report: dict = {"run_id": run_id}
     if audit is not None:
         report["exclusions"] = {k: v for k, v in audit.items()}
@@ -500,13 +495,6 @@ def assemble_report(
         report["profile_summary"] = profile_summary
     if did is not None:
         report["did"] = {name: asdict(est) for name, est in sorted(did.items())}
-    if pretrend is not None:
-        section = {}
-        for name, res in sorted(pretrend.items()):
-            entry = asdict(res)
-            entry["summary"] = render_pretrend_summary(name, entry)
-            section[name] = entry
-        report["pretrend"] = section
     return report
 
 

@@ -1,14 +1,19 @@
 import csv
 import os
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rxdid.claims_core import (
+    DrugCatalogEntry,
     EnrollmentSpan,
     MedicalClaim,
+    MissingCatalogEntry,
+    OpioidIngredient,
+    PharmacyClaim,
     ProviderType,
+    RejectedRow,
     Setting,
     StudyCalendar,
     CalendarMisconfigured,
@@ -16,7 +21,9 @@ from rxdid.claims_core import (
     days_between,
     index_anchor_dates,
     merge_enrollment_spans,
+    opioid_fills_in_window,
     parse_inputs,
+    store_from_records,
     write_store,
 )
 
@@ -235,3 +242,126 @@ def test_birth_year_bounded_by_calendar_not_wall_clock(input_dir, calendar):
     assert "p4" not in store.demographics
     assert [r.line for r in store.rejected
             if r.filename == "persons.csv" and "birth_year" in r.reason] == [5]
+
+
+# One valid row per input file, appended after the fixture's rows; each
+# case below breaks one rule of that file's row parser in one cell.
+VALID_ROWS = {
+    "drug_catalog.csv": ["COD3", "Codeine", "true", "30", "0.15"],
+    "enrollment.csv": ["p3", "2013-01-01", "2013-12-31"],
+    "pharmacy.csv": ["p2", "2013-03-01", "OXY5", "20", "4"],
+    "medical.csv": ["c4", "p2", "dr2", "GroupPractice", "27130", "2013-05-02",
+                    "2013-05-01", "2013-05-04", "Inpatient", "715.15"] + [""] * 9,
+    "persons.csv": ["p3", "1970", "Female"],
+}
+
+_OPIOID_RULE = "oral analgesic opioid requires an ingredient and mme_factor > 0"
+ROW_RULES = [
+    ("drug_catalog.csv", None, None, "expected 5 fields, got 4"),
+    ("drug_catalog.csv", "ingredient", "Heroin", "'Heroin' is not a valid OpioidIngredient"),
+    ("drug_catalog.csv", "is_oral_analgesic_opioid", "yes", "bad boolean 'yes'"),
+    ("drug_catalog.csv", "strength_mg_per_unit", "x", "could not convert string to float: 'x'"),
+    ("drug_catalog.csv", "mme_factor", "x", "could not convert string to float: 'x'"),
+    ("drug_catalog.csv", "mme_factor", "0", _OPIOID_RULE),
+    ("drug_catalog.csv", "ingredient", "None", _OPIOID_RULE),
+    ("drug_catalog.csv", "strength_mg_per_unit", "0", "opioid entries need positive strength"),
+    ("drug_catalog.csv", "drug_code", "HYD5", "duplicate drug_code HYD5"),
+    ("enrollment.csv", None, None, "expected 3 fields, got 2"),
+    ("enrollment.csv", "start", "2013-02-30", "day is out of range for month"),
+    ("enrollment.csv", "end", "someday", "Invalid isoformat string: 'someday'"),
+    ("enrollment.csv", "person_id", "", "empty person_id"),
+    ("enrollment.csv", "start", "2014-01-01", "span start after end"),
+    ("pharmacy.csv", None, None, "expected 5 fields, got 4"),
+    ("pharmacy.csv", "fill_date", "someday", "Invalid isoformat string: 'someday'"),
+    ("pharmacy.csv", "quantity", "x", "could not convert string to float: 'x'"),
+    ("pharmacy.csv", "person_id", "", "empty person_id or drug_code"),
+    ("pharmacy.csv", "drug_code", "", "empty person_id or drug_code"),
+    ("pharmacy.csv", "quantity", "0", "quantity must be positive, got 0"),
+    ("pharmacy.csv", "drug_code", "ZZZ9", "drug_code 'ZZZ9' is not in drug_catalog.csv"),
+    ("pharmacy.csv", "days_supply", "x", "invalid literal for int() with base 10: 'x'"),
+    ("medical.csv", None, None, "expected 19 fields, got 18"),
+    ("medical.csv", "claim_id", "", "empty claim_id"),
+    ("medical.csv", "claim_id", "c1", "duplicate claim_id c1"),
+    ("medical.csv", "provider_type", "Solo", "'Solo' is not a valid ProviderType"),
+    ("medical.csv", "service_date", "someday", "Invalid isoformat string: 'someday'"),
+    ("medical.csv", "admission_date", "someday", "Invalid isoformat string: 'someday'"),
+    ("medical.csv", "discharge_date", "someday", "Invalid isoformat string: 'someday'"),
+    ("medical.csv", "setting", "Clinic", "'Clinic' is not a valid Setting"),
+    ("medical.csv", "setting", "Ambulatory", "setting=Inpatient iff discharge_date present"),
+    ("medical.csv", "admission_date", "2013-05-03", "admission_date after service_date"),
+    ("medical.csv", "discharge_date", "2013-05-01", "service_date after discharge_date"),
+    ("medical.csv", "cpt", "2713", "cpt must be 5 characters, got '2713'"),
+    ("persons.csv", None, None, "expected 3 fields, got 2"),
+    ("persons.csv", "birth_year", "x", "invalid literal for int() with base 10: 'x'"),
+    ("persons.csv", "sex", "X", "'X' is not a valid Sex"),
+    ("persons.csv", "person_id", "", "empty person_id"),
+    ("persons.csv", "birth_year", "1870", "implausible birth_year 1870"),
+    ("persons.csv", "person_id", "p1", "duplicate person_id p1"),
+]
+
+
+def _append_row(input_dir, name, row) -> int:
+    """Append ``row`` to an input file; returns its line number."""
+    path = os.path.join(input_dir, name)
+    with open(path, newline="") as f:
+        line = sum(1 for _ in f) + 1
+    with open(path, "a", newline="") as f:
+        csv.writer(f).writerow(row)
+    return line
+
+
+def test_valid_rows_parse(input_dir):
+    before = parse_inputs(input_dir)
+    for name, row in VALID_ROWS.items():
+        _append_row(input_dir, name, row)
+    store = parse_inputs(input_dir)
+    assert store.rejected == before.rejected
+    for name in VALID_ROWS:
+        assert store.parsed_counts[name] == before.parsed_counts[name] + 1
+
+
+@pytest.mark.parametrize(
+    "name, column, value, reason", ROW_RULES,
+    ids=[f"{n.split('.')[0]}-{c or 'field_count'}-{v}" for n, c, v, _ in ROW_RULES],
+)
+def test_each_row_rule_rejects_with_its_reason(input_dir, name, column, value, reason):
+    before = parse_inputs(input_dir)
+    with open(os.path.join(input_dir, name), newline="") as f:
+        header = next(csv.reader(f))
+    row = list(VALID_ROWS[name])
+    if column is None:
+        row.pop()
+    else:
+        row[header.index(column)] = value
+    line = _append_row(input_dir, name, row)
+    store = parse_inputs(input_dir)
+    assert [r for r in store.rejected if r not in before.rejected] == [
+        RejectedRow(name, line, reason)
+    ]
+    assert len(store.rejected) == len(before.rejected) + 1
+    assert store.parsed_counts == before.parsed_counts
+
+
+def test_opioid_fills_in_window_bounds_and_order():
+    cal = StudyCalendar()
+    anchor = date(2013, 2, 1)
+    catalog = [
+        DrugCatalogEntry("HYD5", OpioidIngredient.HYDROCODONE, True, 5.0, 1.0),
+        DrugCatalogEntry("FENTP", OpioidIngredient.FENTANYL, False, 0.0, 0.0),
+    ]
+    fills = [
+        PharmacyClaim("p1", anchor + timedelta(days=d), code, 10.0)
+        for d, code in [(8, "HYD5"), (-1, "HYD5"), (0, "HYD5"), (7, "HYD5"), (3, "FENTP")]
+    ]
+    store = store_from_records(cal, [], fills, [], [], catalog)
+    got = opioid_fills_in_window(store, "p1", anchor, 0, 7)
+    assert [(offset, f.fill_date) for offset, f, _ in got] == [
+        (0, anchor), (7, anchor + timedelta(days=7)),
+    ]
+    assert all(entry is store.catalog["HYD5"] for _, _, entry in got)
+    assert opioid_fills_in_window(store, "p2", anchor, 0, 7) == []
+    # a fill outside the window is never looked up in the catalog
+    store.pharmacy["p1"].append(PharmacyClaim("p1", anchor + timedelta(days=30), "ZZZ", 1.0))
+    assert len(opioid_fills_in_window(store, "p1", anchor, 0, 7)) == 2
+    with pytest.raises(MissingCatalogEntry):
+        opioid_fills_in_window(store, "p1", anchor, 0, 30)

@@ -325,6 +325,20 @@ def _add_condition(text):
     return text + "gout,2740\n"
 
 
+def _append(line):
+    return lambda text: text + line + "\n"
+
+
+def _edit_first_profile(column, value):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        fields = lines[1].rstrip("\r\n").split(",")
+        fields[column] = value
+        lines[1] = ",".join(fields) + "\n"
+        return "".join(lines)
+    return edit
+
+
 @pytest.mark.parametrize("rel, edit, step, named", [
     ("inputs/comorbidity_map.csv", _replace_header, "cohort", "comorbidity_map.csv"),
     ("inputs/comorbidity_map.csv", _drop_condition, "cohort", "congestive_heart_failure"),
@@ -332,8 +346,16 @@ def _add_condition(text):
     ("inputs/procedures.csv", _replace_header, "classify", "procedures.csv"),
     ("inputs/antidepressants.csv", _replace_header, "cohort", "antidepressants.csv"),
     ("profiles.csv", _drop_header, "cohort", "profiles.csv"),
+    ("inputs/comorbidity_map.csv", _append("depression"), "cohort", "comorbidity_map.csv"),
+    ("inputs/procedures.csv", _append("knee_arthroscopy"), "classify", "procedures.csv"),
+    ("inputs/procedures.csv", _append("open_cholecystectomy,47562"), "classify", "47562"),
+    ("inputs/antidepressants.csv", _append("AD001,extra"), "cohort", "antidepressants.csv"),
+    ("profiles.csv", _edit_first_profile(2, "x"), "cohort", "profiles.csv"),
+    ("profiles.csv", _edit_first_profile(4, "3/0"), "cohort", "profiles.csv"),
 ], ids=["comorbidity_map_header", "comorbidity_map_missing", "comorbidity_map_unknown",
-        "procedures_header", "antidepressants_header", "profiles_header"])
+        "procedures_header", "antidepressants_header", "profiles_header",
+        "comorbidity_map_one_field", "procedures_one_field", "procedures_code_twice",
+        "antidepressants_two_fields", "profiles_n_events", "profiles_zero_denominator"])
 def test_bad_reference_file_is_one_line_validation_error(
         tmp_path, sim_file, capsys, rel, edit, step, named):
     out = str(tmp_path / "r")
@@ -347,3 +369,33 @@ def test_bad_reference_file_is_one_line_validation_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert len(err.splitlines()) == 1
+
+
+# sha256 of the run-directory files that no BLAS call touches, for SIM_CFG.
+# They pin ingestion, profiling, the cohort rules and the outcome and
+# covariate measures: a change that moves any of them must say so.
+GOLDEN_SHA256 = {
+    "inputs/antidepressants.csv": "6062c282084d77867185936dd42d92ce11de85a6634b5b8e4ef1f18f785486db",
+    "inputs/comorbidity_map.csv": "53149faac89610dccdefa45eef96b95b2f83a62a8ef80992c642940351ee86f9",
+    "inputs/drug_catalog.csv": "2431070d27f20b4e3e99762e16055323aed6f164bd26c764793315735236ff0e",
+    "inputs/enrollment.csv": "e04087f524dbc51aeff0ecb2c855f6efcccaa2f187f484a8cd3e6ce0650fe99e",
+    "inputs/medical.csv": "e4242526b24c511fbdf70a556db762083ef4e79ea992370d9818708e71a59414",
+    "inputs/persons.csv": "8db6d1a1de190a1efa20dcca59fbb858d29efafc69394db068fe7695692cd0ad",
+    "inputs/pharmacy.csv": "959caad9ab33c88785d394f1dc678c8bd6cbec6d604fe160c08811a3e80d49d2",
+    "inputs/procedures.csv": "2fa75452fd5f52882e31e6fd4dd539d5a4f496bbff9cbbc017a23c703074f0c8",
+    "profiles.csv": "2a67f72e16b2e12862fd509af2d16bfee2829ff31350537dc74c5791d35966d4",
+    "cohort.csv": "1457706063f0907aba3d0df66f8b538f4a4919bd486e343c157c3ee7de02afba",
+    "exclusions.csv": "bc84562ef6a86360e909af761fa17e7217aec77779acefd70f11b8e073ecf17d",
+    "analysis_table.csv": "527b56199613f90c21e2a6c25bef18795df81fadd8743cb3a546bc1a1fb75ded",
+}
+
+
+def test_sim_run_files_match_golden_digests(tmp_path, sim_file):
+    out = str(tmp_path / "r")
+    for step in ["simulate", "classify", "cohort"]:
+        assert main([step, "--out", out, "--sim", sim_file]) == 0
+    digests = {
+        rel: hashlib.sha256(open(os.path.join(out, rel), "rb").read()).hexdigest()
+        for rel in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256

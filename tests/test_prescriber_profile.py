@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from rxdid.claims_core import (
     DrugCatalogEntry,
     MedicalClaim,
+    MissingCatalogEntry,
     OpioidIngredient,
     PersonDemographics,
     PharmacyClaim,
@@ -17,6 +18,7 @@ from rxdid.claims_core import (
     store_from_records,
 )
 from rxdid.prescriber_profile import (
+    AmbiguousProcedureCode,
     InvalidThresholds,
     EmptyProfileSet,
     ProcedureCodeSet,
@@ -240,3 +242,20 @@ def test_default_procedure_codes():
     assert codes.procedure_of("27130") == "total_hip_replacement"
     assert codes.procedure_of("64721") == "carpal_tunnel_release"
     assert codes.procedure_of("99213") is None
+
+
+def test_uncatalogued_fill_in_window_raises():
+    store = _store(
+        [_med("c1", "p1", "47562", date(2013, 2, 1))],
+        [_fill("p1", date(2013, 2, 3), code="ZZZ")],
+    )
+    with pytest.raises(MissingCatalogEntry):
+        find_index_events(store, ProcedureCodeSet(), *WINDOW)
+
+
+def test_code_under_two_procedures_names_both():
+    with pytest.raises(AmbiguousProcedureCode, match="47562.*cholecystectomy.*open_chole"):
+        ProcedureCodeSet({
+            "laparoscopic_cholecystectomy": frozenset({"47562"}),
+            "open_cholecystectomy": frozenset({"47600", "47562"}),
+        })

@@ -198,3 +198,20 @@ def test_truth_check_null_records_type_i():
 def test_truth_check_missing_outcome():
     v = truth_check(_truth({"any_refill_30d": 0.7}), {"run_id": "rid", "did": {}})
     assert v["any_refill_30d"]["status"] == "missing"
+
+
+def test_generated_store_equals_parsed_written_inputs(tmp_path):
+    # generate() builds its store from records; parse_inputs() builds one
+    # from the files it wrote. Both go through store_from_records.
+    from rxdid.claims_core import parse_inputs
+
+    config = SimConfig(seed=5, n_providers=50, patients_per_provider_quarter=1.5)
+    store, _ = generate(config, out_dir=str(tmp_path), calendar=CAL)
+    parsed = parse_inputs(str(tmp_path), CAL)
+    assert parsed.rejected == []
+    assert parsed.enrollment == store.enrollment
+    assert parsed.pharmacy == store.pharmacy
+    assert parsed.medical == store.medical
+    assert parsed.demographics == store.demographics
+    assert parsed.catalog == store.catalog
+    assert parsed.parsed_counts == store.parsed_counts
