@@ -311,15 +311,18 @@ def check_field_count(row: list[str], columns: list[str]) -> None:
 
 
 def read_reference_csv(path: str, columns: list[str], parse) -> list:
-    """``parse(row)`` for each data row of a reference file.
+    """``parse(row)`` for each data row of a reference or intermediate file.
 
-    The first row with the wrong field count or a bad value raises
-    MalformedRow naming the file and line.
+    The first row with the wrong field count, an empty field or a bad
+    value raises MalformedRow naming the file and line.
     """
     out = []
     for lineno, row in read_csv_rows(path, columns):
         try:
             check_field_count(row, columns)
+            empty = [c for c, v in zip(columns, row) if not v.strip()]
+            if empty:
+                raise ValueError(f"empty {empty[0]}")
             out.append(parse(row))
         except (ValueError, InvalidDate) as e:
             raise MalformedRow(path, lineno, str(e)) from None

@@ -7,12 +7,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import csv
 import hashlib
-import json
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cached_property
 
@@ -21,13 +18,14 @@ import numpy as np
 from . import __version__
 from .claims_core import ClaimsError, ClaimsStore, StudyCalendar, parse_inputs
 from .cohort_builder import (
+    ExclusionReason,
     build_cohort,
+    read_exclusions_csv,
     write_cohort_csv,
     write_exclusions_csv,
 )
-from .glm_engine import GlmError, build_design, fit_arrays
+from .glm_engine import FitResult, GlmError
 from .measures import (
-    COVARIATE_COLUMNS,
     ComorbidityMap,
     read_antidepressants_csv,
     write_antidepressants_csv,
@@ -36,6 +34,7 @@ from .measures import (
 from .prescriber_profile import (
     InvalidThresholds,
     ProcedureCodeSet,
+    ProviderProfile,
     classify_providers,
     find_index_events,
     profile_summary,
@@ -44,24 +43,26 @@ from .prescriber_profile import (
     write_profiles_csv,
 )
 from .study_analysis import (
-    OUTCOME_FAMILIES,
     OUTCOMES,
     AnalysisError,
-    assemble_report,
     build_analysis_table,
+    estimate_json,
+    load_json,
     read_analysis_table,
+    read_pretrend_json,
     render_report_from_estimates,
     run_did,
     run_pretrend,
     table_one,
     trend_series,
     write_analysis_table,
-    write_report_json,
+    write_json,
     write_table_one_csv,
     write_trends_csv,
 )
 from .synthgen import (
     ANTIDEPRESSANT_CODES,
+    GroundTruth,
     InvalidConfig,
     RunMismatch,
     SimConfig,
@@ -73,12 +74,6 @@ from .synthgen import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ANALYSIS = 2
-
-STEPS = [
-    "simulate", "classify", "cohort", "describe", "pretrend", "did",
-    "trends", "check",
-]
-
 
 class MissingInput(Exception):
     pass
@@ -100,22 +95,19 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, argv, inputs, outputs, started):
+def _write_manifest(out_dir: str, command: str, argv, input_digests, outputs, started):
     manifest = {
         "command": command,
         "argv": list(argv),
         "tool_version": __version__,
-        "input_digests": {os.path.basename(p): _sha256(p) for p in inputs if os.path.exists(p)},
+        "input_digests": input_digests,
         "outputs": [os.path.basename(p) for p in outputs],
         "started": started,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     path = os.path.join(out_dir, f"manifest_{command}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    write_json(path + ".tmp", manifest)
+    os.replace(path + ".tmp", path)
 
 
 def _inputs_dir(out_dir: str) -> str:
@@ -136,15 +128,33 @@ def _thresholds(args) -> tuple[Fraction, Fraction, int]:
 
 
 class _Run:
-    """What the steps of one invocation share, each loaded at most once.
+    """What the steps of one invocation share, each made or read at most once.
 
-    ``store`` parses ``inputs/``; ``table`` reads ``analysis_table.csv``
-    unless ``cohort`` has already handed over the table it built. Steps
-    only read the table; none may change it in place.
+    The step that makes an artifact sets it here; a step run on its own
+    reads it from the run directory instead, and gets an equal value.
+    Steps only read what they are handed; none may change it in place.
     """
 
     def __init__(self, args):
         self.args = args
+
+    def _read(self, name: str, read, made_by: str):
+        path = os.path.join(self.args.out, name)
+        if not os.path.exists(path):
+            raise MissingInput(f"{path} not found; run `{made_by}` first")
+        return read(path)
+
+    def _reference(self, name: str, read, default):
+        """``read`` inputs/<name> when the file is there, else the built-in default."""
+        path = os.path.join(_inputs_dir(self.args.out), name)
+        return read(path) if os.path.exists(path) else default
+
+    def optional(self, name: str):
+        """The artifact ``name``, or None if it was neither handed over nor written."""
+        try:
+            return getattr(self, name)
+        except MissingInput:
+            return None
 
     @cached_property
     def calendar(self) -> StudyCalendar:
@@ -157,23 +167,59 @@ class _Run:
         return parse_inputs(_inputs_dir(self.args.out), self.calendar)
 
     @cached_property
+    def input_digests(self) -> dict[str, str]:
+        """sha256 of each file under inputs/, which no step after ``simulate`` changes."""
+        inputs = os.path.join(self.args.out, "inputs")
+        if not os.path.isdir(inputs):
+            return {}
+        return {n: _sha256(os.path.join(inputs, n)) for n in sorted(os.listdir(inputs))}
+
+    @cached_property
+    def codes(self) -> ProcedureCodeSet:
+        return self._reference("procedures.csv", ProcedureCodeSet.from_file, ProcedureCodeSet())
+
+    @cached_property
+    def cmap(self) -> ComorbidityMap:
+        return self._reference("comorbidity_map.csv", ComorbidityMap.from_file,
+                               ComorbidityMap.default())
+
+    @cached_property
+    def antidepressants(self) -> frozenset[str]:
+        return self._reference("antidepressants.csv", read_antidepressants_csv, frozenset())
+
+    @cached_property
+    def profiles(self) -> dict[str, ProviderProfile]:
+        return self._read("profiles.csv", read_profiles_csv, "classify")
+
+    @cached_property
+    def audit(self) -> dict[ExclusionReason, int]:
+        return self._read("exclusions.csv", read_exclusions_csv, "cohort")
+
+    @cached_property
+    def pretrend(self) -> dict:
+        return self._read("pretrend.json", read_pretrend_json, "pretrend")
+
+    @cached_property
+    def truth(self) -> GroundTruth:
+        return self._read("ground_truth.json", load_ground_truth, "simulate")
+
+    @cached_property
+    def report(self) -> dict:
+        return self._read("report.json", load_json, "did")
+
+    @cached_property
     def table(self) -> dict:
-        path = os.path.join(self.args.out, "analysis_table.csv")
-        if not os.path.exists(path):
-            raise MissingInput(f"{path} not found; run `cohort` first")
-        return read_analysis_table(path, self.calendar)
+        return self._read("analysis_table.csv",
+                          lambda path: read_analysis_table(path, self.calendar), "cohort")
 
 
-def _run_id(out_dir: str) -> str:
-    gt = os.path.join(out_dir, "ground_truth.json")
-    if os.path.exists(gt):
-        return load_ground_truth(gt).run_id
-    inputs = _inputs_dir(out_dir)
-    h = hashlib.sha256()
-    for name in sorted(os.listdir(inputs)):
-        h.update(name.encode())
-        h.update(_sha256(os.path.join(inputs, name)).encode())
-    return h.hexdigest()[:16]
+def _run_id(run: _Run) -> str:
+    truth = run.optional("truth")
+    if truth is not None:
+        return truth.run_id
+    _inputs_dir(run.args.out)  # MissingInput without inputs/
+    names_and_digests = "".join(name + digest for name, digest in run.input_digests.items())
+    return hashlib.sha256(names_and_digests.encode()).hexdigest()[:16]
 
 
 def step_simulate(args, run: _Run) -> list[str]:
@@ -181,15 +227,19 @@ def step_simulate(args, run: _Run) -> list[str]:
     if args.seed is not None:
         config = SimConfig(**{**config.__dict__, "seed": args.seed})
     inputs = os.path.join(args.out, "inputs")
-    generate(config, out_dir=inputs, calendar=run.calendar)
+    # Equal to what parse_inputs reads back from the files generate writes.
+    run.store, run.truth = generate(config, out_dir=inputs, calendar=run.calendar)
     os.replace(
         os.path.join(inputs, "ground_truth.json"),
         os.path.join(args.out, "ground_truth.json"),
     )
     # Reference configuration alongside the claims files.
-    write_procedures_csv(os.path.join(inputs, "procedures.csv"))
-    write_comorbidity_map_csv(os.path.join(inputs, "comorbidity_map.csv"))
-    write_antidepressants_csv(os.path.join(inputs, "antidepressants.csv"), ANTIDEPRESSANT_CODES)
+    run.codes = ProcedureCodeSet()
+    run.cmap = ComorbidityMap.default()
+    run.antidepressants = ANTIDEPRESSANT_CODES
+    write_procedures_csv(os.path.join(inputs, "procedures.csv"), run.codes)
+    write_comorbidity_map_csv(os.path.join(inputs, "comorbidity_map.csv"), run.cmap)
+    write_antidepressants_csv(os.path.join(inputs, "antidepressants.csv"), run.antidepressants)
     return [os.path.join(args.out, "ground_truth.json")] + [
         os.path.join(inputs, n) for n in sorted(os.listdir(inputs))
     ]
@@ -198,40 +248,23 @@ def step_simulate(args, run: _Run) -> list[str]:
 def step_classify(args, run: _Run) -> list[str]:
     calendar = run.calendar
     store = run.store
-    codes = _reference(_inputs_dir(args.out), "procedures.csv",
-                       ProcedureCodeSet.from_file, ProcedureCodeSet())
     low, high, min_cases = _thresholds(args)
-    events = find_index_events(store, codes, calendar.profiling_start, calendar.profiling_end)
-    profiles = classify_providers(events, store, min_cases=min_cases, low=low, high=high)
+    events = find_index_events(store, run.codes, calendar.profiling_start, calendar.profiling_end)
+    run.profiles = classify_providers(events, store, min_cases=min_cases, low=low, high=high)
     path = os.path.join(args.out, "profiles.csv")
-    write_profiles_csv(path, profiles)
+    write_profiles_csv(path, run.profiles)
     return [path]
 
 
-def _reference(inputs: str, name: str, read, default):
-    """``read`` inputs/<name> when the file is there, else the built-in default."""
-    path = os.path.join(inputs, name)
-    return read(path) if os.path.exists(path) else default
-
-
 def step_cohort(args, run: _Run) -> list[str]:
-    inputs = _inputs_dir(args.out)
-    profiles_path = os.path.join(args.out, "profiles.csv")
-    if not os.path.exists(profiles_path):
-        raise MissingInput(f"{profiles_path} not found; run `classify` first")
+    profiles = run.profiles
     store = run.store
-    codes = _reference(inputs, "procedures.csv", ProcedureCodeSet.from_file, ProcedureCodeSet())
-    profiles = read_profiles_csv(profiles_path)
-    rows, audit = build_cohort(store, profiles, run.calendar, codes)
+    rows, run.audit = build_cohort(store, profiles, run.calendar, run.codes)
     cohort_path = os.path.join(args.out, "cohort.csv")
     excl_path = os.path.join(args.out, "exclusions.csv")
     write_cohort_csv(cohort_path, rows)
-    write_exclusions_csv(excl_path, audit)
-    cmap = _reference(inputs, "comorbidity_map.csv", ComorbidityMap.from_file,
-                      ComorbidityMap.default())
-    antidepressants = _reference(inputs, "antidepressants.csv", read_antidepressants_csv,
-                                 frozenset())
-    table = build_analysis_table(rows, store, cmap, antidepressants)
+    write_exclusions_csv(excl_path, run.audit)
+    table = build_analysis_table(rows, store, run.cmap, run.antidepressants)
     table_path = os.path.join(args.out, "analysis_table.csv")
     write_analysis_table(table_path, table)
     # Equal bit for bit to what read_analysis_table gives back from the file.
@@ -248,80 +281,59 @@ def step_describe(args, run: _Run) -> list[str]:
 
 def step_pretrend(args, run: _Run) -> list[str]:
     table = run.table
-    results = {name: run_pretrend(table, name) for name in OUTCOMES}
+    # estimate_json at once, so that no two fits are alive together.
+    run.pretrend = {name: estimate_json(run_pretrend(table, name)) for name in OUTCOMES}
     path = os.path.join(args.out, "pretrend.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({k: asdict(v) for k, v in sorted(results.items())},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, run.pretrend)
     return [path]
+
+
+def _fit_dump(outcome: str, fit: FitResult) -> str:
+    coefs = "".join(f"coef {name} = {b!r}\n" for name, b in zip(fit.names, fit.coefficients))
+    return (f"== {outcome} ({fit.family}) ==\n"
+            f"n_obs={fit.n_obs} n_clusters={fit.n_clusters} "
+            f"iterations={fit.n_iterations} converged={fit.converged}\n"
+            f"deviance_trace={fit.deviance_trace!r}\n{coefs}"
+            f"model_cov=\n{np.array2string(fit.model_cov, threshold=10**6)}\n"
+            f"robust_cov=\n{np.array2string(fit.robust_cov, threshold=10**6)}\n")
 
 
 def step_did(args, run: _Run) -> list[str]:
     table = run.table
-    estimates = {name: run_did(table, name) for name in OUTCOMES}
+    did, dumps = {}, []
+    for name in OUTCOMES:
+        estimate = run_did(table, name)
+        if args.dump_fit:
+            dumps.append(_fit_dump(name, estimate.fit))
+        did[name] = estimate_json(estimate)
+        del estimate  # so that no two fits are alive together
 
     outputs = []
     if args.dump_fit:
         path = os.path.join(args.out, "fit_dump.txt")
-        _dump_fits(path, table)
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(dumps)
         outputs.append(path)
 
-    audit = None
-    excl_path = os.path.join(args.out, "exclusions.csv")
-    if os.path.exists(excl_path):
-        with open(excl_path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            next(reader)
-            audit = {row[0]: int(row[1]) for row in reader if row}
-
-    summary = None
-    profiles_path = os.path.join(args.out, "profiles.csv")
-    if os.path.exists(profiles_path):
+    report = {"run_id": _run_id(run), "did": did}
+    audit = run.optional("audit")
+    if audit is not None:
+        report["exclusions"] = {reason.value: n for reason, n in audit.items()}
+    profiles = run.optional("profiles")
+    if profiles is not None:
         _, _, min_cases = _thresholds(args)
-        profiles = read_profiles_csv(profiles_path)
         if any(p.n_events >= min_cases for p in profiles.values()):
-            summary = profile_summary(profiles, min_cases=min_cases)
-
-    report = assemble_report(
-        run_id=_run_id(args.out),
-        audit=audit,
-        profile_summary=summary,
-        did=estimates,
-    )
-    pretrend_path = os.path.join(args.out, "pretrend.json")
-    if os.path.exists(pretrend_path):
-        with open(pretrend_path, encoding="utf-8") as f:
-            report["pretrend"] = json.load(f)
-        report = render_report_from_estimates(report)
+            report["profile_summary"] = profile_summary(profiles, min_cases=min_cases)
+    pretrend = run.optional("pretrend")
+    if pretrend is not None:
+        report["pretrend"] = pretrend
 
     did_path = os.path.join(args.out, "did.json")
-    with open(did_path, "w", encoding="utf-8") as f:
-        json.dump({k: asdict(v) for k, v in sorted(estimates.items())},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(did_path, did)
     report_path = os.path.join(args.out, "report.json")
-    write_report_json(report_path, report)
+    run.report = render_report_from_estimates(report)
+    write_json(report_path, run.report)
     return outputs + [did_path, report_path]
-
-
-def _dump_fits(path: str, table) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for outcome in OUTCOMES:
-            terms = ["exposed", "post", "exposed:post"] + COVARIATE_COLUMNS
-            X, names = build_design(table, terms)
-            fit = fit_arrays(
-                X, table[outcome], OUTCOME_FAMILIES[outcome], names=names,
-                cluster_ids=table["provider_id"], drop_collinear=True,
-            )
-            f.write(f"== {outcome} ({fit.family}) ==\n")
-            f.write(f"n_obs={fit.n_obs} n_clusters={fit.n_clusters} "
-                    f"iterations={fit.n_iterations} converged={fit.converged}\n")
-            f.write(f"deviance_trace={fit.deviance_trace!r}\n")
-            for name, b in zip(fit.names, fit.coefficients):
-                f.write(f"coef {name} = {b!r}\n")
-            f.write(f"model_cov=\n{np.array2string(fit.model_cov, threshold=10**6)}\n")
-            f.write(f"robust_cov=\n{np.array2string(fit.robust_cov, threshold=10**6)}\n")
 
 
 def step_trends(args, run: _Run) -> list[str]:
@@ -336,19 +348,9 @@ def step_trends(args, run: _Run) -> list[str]:
 
 
 def step_check(args, run: _Run) -> list[str]:
-    gt_path = os.path.join(args.out, "ground_truth.json")
-    report_path = os.path.join(args.out, "report.json")
-    for p in (gt_path, report_path):
-        if not os.path.exists(p):
-            raise RunMismatch(f"{p} not found")
-    truth = load_ground_truth(gt_path)
-    with open(report_path, encoding="utf-8") as f:
-        report = json.load(f)
-    verdicts = truth_check(truth, report)
+    verdicts = truth_check(run.truth, run.report)
     path = os.path.join(args.out, "check.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(verdicts, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, verdicts)
     for outcome in sorted(verdicts):
         print(f"{outcome}: {verdicts[outcome]['status']}")
     return [path]
@@ -364,6 +366,7 @@ _STEP_FUNCS = {
     "trends": step_trends,
     "check": step_check,
 }
+STEPS = list(_STEP_FUNCS)
 
 
 def build_parser() -> _Parser:
@@ -398,15 +401,9 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         for step in steps:
             started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-            inputs_for_manifest = []
-            inputs_dir = os.path.join(args.out, "inputs")
-            if os.path.isdir(inputs_dir) and step != "simulate":
-                inputs_for_manifest = [
-                    os.path.join(inputs_dir, n) for n in sorted(os.listdir(inputs_dir))
-                ]
             outputs = _STEP_FUNCS[step](args, run)
             _write_manifest(args.out, step, sys.argv[1:] if argv is None else argv,
-                            inputs_for_manifest, outputs, started)
+                            {} if step == "simulate" else run.input_digests, outputs, started)
     except (MissingInput, InvalidConfig, InvalidThresholds, ClaimsError,
             RunMismatch, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")

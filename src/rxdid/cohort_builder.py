@@ -17,6 +17,7 @@ from .claims_core import (
     days_between,
     index_anchor_dates,
     opioid_fills_in_window,
+    read_reference_csv,
 )
 from .prescriber_profile import (
     IndexEvent,
@@ -251,3 +252,9 @@ def write_exclusions_csv(path: str, audit: dict[ExclusionReason, int]) -> None:
         w.writerow(["reason", "count"])
         for reason in ExclusionReason:
             w.writerow([reason.value, audit.get(reason, 0)])
+
+
+def read_exclusions_csv(path: str) -> dict[ExclusionReason, int]:
+    return dict(read_reference_csv(
+        path, ["reason", "count"], lambda row: (ExclusionReason(row[0].strip()), int(row[1]))
+    ))

@@ -438,17 +438,13 @@ class WaldResult:
     p_value: float
 
 
-def wald_test(
-    fit_result: FitResult,
-    indices: list[int] | list[str],
-    use_robust: bool = True,
-) -> WaldResult:
-    """Joint chi-square test that the selected coefficients are zero."""
+def wald_test(fit_result: FitResult, indices: list[int] | list[str]) -> WaldResult:
+    """Joint chi-square test that the selected coefficients are zero (robust covariance)."""
     idx = [
         fit_result.names.index(i) if isinstance(i, str) else int(i)
         for i in indices
     ]
-    cov = fit_result.robust_cov if use_robust else fit_result.model_cov
+    cov = fit_result.robust_cov
     if cov is None:
         raise GlmError("no robust covariance on this fit")
     b = fit_result.coefficients[idx]

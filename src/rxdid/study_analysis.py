@@ -5,12 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import date, timedelta
 
 import numpy as np
 
-from .claims_core import ClaimsStore, StudyCalendar, days_between
+from .claims_core import ClaimsStore, MalformedRow, StudyCalendar, days_between, read_reference_csv
 from .cohort_builder import CohortRow, Exposure, Period
 from .glm_engine import (
     BINOMIAL_LOGIT,
@@ -101,47 +101,30 @@ def _fmt(x: float) -> str:
     return repr(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+# person_id, provider_id and late_anchor, then the float columns
+_FLOAT_COLUMNS = ANALYSIS_TABLE_COLUMNS[3:]
+
+
 def write_analysis_table(path: str, table: dict) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(ANALYSIS_TABLE_COLUMNS)
-        n = len(table["person_id"])
-        for i in range(n):
-            row = []
-            for name in ANALYSIS_TABLE_COLUMNS:
-                v = table[name][i]
-                if name in ("person_id", "provider_id"):
-                    row.append(v)
-                elif name == "late_anchor":
-                    row.append(v.isoformat())
-                else:
-                    row.append(_fmt(v))
-            w.writerow(row)
+        for i in range(len(table["person_id"])):
+            w.writerow([table["person_id"][i], table["provider_id"][i],
+                        table["late_anchor"][i].isoformat()]
+                       + [_fmt(table[name][i]) for name in _FLOAT_COLUMNS])
 
 
 def read_analysis_table(path: str, calendar: StudyCalendar) -> dict:
-    cols: dict[str, list] = {name: [] for name in ANALYSIS_TABLE_COLUMNS}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ANALYSIS_TABLE_COLUMNS:
-            raise ValueError(f"{path}: unexpected analysis table header")
-        for row in reader:
-            if not row:
-                continue
-            for name, v in zip(ANALYSIS_TABLE_COLUMNS, row):
-                if name in ("person_id", "provider_id"):
-                    cols[name].append(v)
-                elif name == "late_anchor":
-                    cols[name].append(date.fromisoformat(v))
-                else:
-                    cols[name].append(float(v))
-    table: dict = {}
-    for name, vals in cols.items():
-        if name in ("person_id", "provider_id", "late_anchor"):
-            table[name] = np.asarray(vals, dtype=object)
-        else:
-            table[name] = np.asarray(vals, dtype=float)
+    rows = read_reference_csv(
+        path, ANALYSIS_TABLE_COLUMNS,
+        lambda row: (row[0], row[1], date.fromisoformat(row[2]), *map(float, row[3:])),
+    )
+    columns = zip(*rows) if rows else [()] * len(ANALYSIS_TABLE_COLUMNS)
+    table: dict = {
+        name: np.asarray(values, dtype=float if name in _FLOAT_COLUMNS else object)
+        for name, values in zip(ANALYSIS_TABLE_COLUMNS, columns)
+    }
     table["_calendar"] = calendar
     return table
 
@@ -161,6 +144,8 @@ class DidEstimate:
     n_obs: int
     n_clusters: int
     dropped_columns: tuple[str, ...] = ()
+    # The fit the numbers come from; not compared, and left out of estimate_json.
+    fit: FitResult | None = field(default=None, compare=False, repr=False)
 
 
 def _check_cells(exposed: np.ndarray, post: np.ndarray) -> None:
@@ -172,12 +157,12 @@ def _check_cells(exposed: np.ndarray, post: np.ndarray) -> None:
                 )
 
 
-def _fit_terms(table: dict, outcome: str, terms: list[str], drop_collinear: bool) -> FitResult:
+def _fit_terms(table: dict, outcome: str, terms: list[str]) -> FitResult:
     X, names = build_design(table, terms, intercept=True)
     y = table[outcome]
     result = fit_arrays(
         X, y, OUTCOME_FAMILIES[outcome], names=names,
-        cluster_ids=table["provider_id"], drop_collinear=drop_collinear,
+        cluster_ids=table["provider_id"], drop_collinear=True,
     )
     if not result.converged:
         last = ", ".join(repr(d) for d in result.deviance_trace[-2:])
@@ -189,18 +174,12 @@ def _fit_terms(table: dict, outcome: str, terms: list[str], drop_collinear: bool
     return result
 
 
-def run_did(
-    table: dict,
-    outcome: str,
-    covariates: list[str] | None = None,
-    drop_collinear: bool = True,
-) -> DidEstimate:
+def run_did(table: dict, outcome: str, covariates: list[str] | None = None) -> DidEstimate:
     """Exposure x period interaction model with cluster-robust inference."""
-    if covariates is None:
-        covariates = COVARIATE_COLUMNS
     _check_cells(table["exposed"], table["post"])
-    terms = ["exposed", "post", "exposed:post"] + list(covariates)
-    result = _fit_terms(table, outcome, terms, drop_collinear)
+    terms = ["exposed", "post", "exposed:post"] + list(
+        COVARIATE_COLUMNS if covariates is None else covariates)
+    result = _fit_terms(table, outcome, terms)
     coef = result.coef("exposed:post")
     lo, hi = confidence_interval(result, "exposed:post")
     wald = wald_test(result, ["exposed:post"])
@@ -219,6 +198,7 @@ def run_did(
         n_obs=result.n_obs,
         n_clusters=result.n_clusters,
         dropped_columns=tuple(result.dropped_columns),
+        fit=result,
     )
 
 
@@ -245,6 +225,7 @@ class PretrendResult:
     n_obs: int
     n_clusters: int
     dropped_columns: tuple[str, ...] = ()
+    fit: FitResult | None = field(default=None, compare=False, repr=False)  # as DidEstimate.fit
 
 
 def pre_year_index(late_anchor: date, calendar: StudyCalendar) -> int:
@@ -253,15 +234,8 @@ def pre_year_index(late_anchor: date, calendar: StudyCalendar) -> int:
     return min(max(int(days // DAYS_PER_YEAR) + 1, 1), 3)
 
 
-def run_pretrend(
-    table: dict,
-    outcome: str,
-    covariates: list[str] | None = None,
-    drop_collinear: bool = True,
-) -> PretrendResult:
+def run_pretrend(table: dict, outcome: str, covariates: list[str] | None = None) -> PretrendResult:
     """Exposure x pre-year interactions with a joint Wald test (df=2)."""
-    if covariates is None:
-        covariates = COVARIATE_COLUMNS
     calendar = table["_calendar"]
     pre_mask = table["post"] == 0.0
     if not np.any(pre_mask):
@@ -281,10 +255,9 @@ def run_pretrend(
         if not np.any(sub[name] == 1.0):
             raise DegenerateDesign(f"no pre-period rows in {name}")
 
-    terms = [
-        "exposed", "year2", "year3", "exposed:year2", "exposed:year3",
-    ] + list(covariates)
-    result = _fit_terms(sub, outcome, terms, drop_collinear)
+    terms = ["exposed", "year2", "year3", "exposed:year2", "exposed:year3"] + list(
+        COVARIATE_COLUMNS if covariates is None else covariates)
+    result = _fit_terms(sub, outcome, terms)
 
     def year_stats(term: str) -> YearInteraction:
         lo, hi = confidence_interval(result, term)
@@ -306,7 +279,47 @@ def run_pretrend(
         n_obs=result.n_obs,
         n_clusters=result.n_clusters,
         dropped_columns=tuple(result.dropped_columns),
+        fit=result,
     )
+
+
+def estimate_json(estimate: DidEstimate | PretrendResult) -> dict:
+    """One estimate as did.json, pretrend.json and report.json hold it."""
+    return {k: v for k, v in asdict(replace(estimate, fit=None)).items() if k != "fit"}
+
+
+_PRETREND_KEYS = {f.name for f in fields(PretrendResult)} - {"fit"}
+_YEAR_KEYS = {f.name for f in fields(YearInteraction)}
+
+
+def _is_pretrend_json(entry) -> bool:
+    """The shape estimate_json gives a PretrendResult, with the numbers the report renders."""
+    return (
+        isinstance(entry, dict) and set(entry) == _PRETREND_KEYS
+        and isinstance(entry["joint_p"], (int, float))
+        and all(
+            isinstance(entry[year], dict) and set(entry[year]) == _YEAR_KEYS
+            and all(isinstance(v, (int, float)) for v in entry[year].values())
+            for year in ("year2", "year3")
+        )
+    )
+
+
+def load_json(path: str):
+    """A JSON file of the run directory; one that does not parse is a MalformedRow."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except json.JSONDecodeError as e:
+        raise MalformedRow(path, e.lineno, f"not JSON: {e.msg}") from None
+
+
+def read_pretrend_json(path: str) -> dict:
+    """pretrend.json as ``pretrend`` writes it: outcome -> estimate_json."""
+    data = load_json(path)
+    if not (isinstance(data, dict) and all(map(_is_pretrend_json, data.values()))):
+        raise MalformedRow(path, 1, "expected one pre-trend result object per outcome")
+    return data
 
 
 @dataclass(frozen=True)
@@ -481,38 +494,19 @@ def render_pretrend_summary(outcome: str, entry: dict) -> list[str]:
     return lines
 
 
-def assemble_report(
-    run_id: str,
-    audit: dict | None = None,
-    profile_summary: dict | None = None,
-    did: dict[str, DidEstimate] | None = None,
-) -> dict:
-    """Merge available pieces into the report structure."""
-    report: dict = {"run_id": run_id}
-    if audit is not None:
-        report["exclusions"] = {k: v for k, v in audit.items()}
-    if profile_summary is not None:
-        report["profile_summary"] = profile_summary
-    if did is not None:
-        report["did"] = {name: asdict(est) for name, est in sorted(did.items())}
-    return report
-
-
 def render_report_from_estimates(estimates: dict) -> dict:
-    """Rebuild the rendered report sections from a raw estimates dict
-    (e.g. a canned estimates file); numbers pass through verbatim."""
+    """The report from its raw sections, each pre-trend entry with its
+    summary lines added; numbers pass through verbatim."""
     report = dict(estimates)
     if "pretrend" in report:
-        section = {}
-        for name, entry in report["pretrend"].items():
-            entry = dict(entry)
-            entry["summary"] = render_pretrend_summary(name, entry)
-            section[name] = entry
-        report["pretrend"] = section
+        report["pretrend"] = {
+            name: {**entry, "summary": render_pretrend_summary(name, entry)}
+            for name, entry in report["pretrend"].items()
+        }
     return report
 
 
-def write_report_json(path: str, report: dict) -> None:
+def write_json(path: str, data: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
+        json.dump(data, f, indent=2, sort_keys=True)
         f.write("\n")

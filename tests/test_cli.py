@@ -1,8 +1,11 @@
 """CLI exit codes, run-directory outputs, and byte-level reproducibility."""
+import builtins
+import collections
 import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +14,7 @@ import pytest
 
 import rxdid.cli as cli
 import rxdid.study_analysis as sa
-from rxdid.cli import main
+from rxdid.cli import STEPS, main
 from rxdid.glm_engine import fit_arrays
 from rxdid.claims_core import StudyCalendar
 from rxdid.study_analysis import (
@@ -226,7 +229,54 @@ def test_all_parses_once_and_reads_no_table(tmp_path, sim_file, monkeypatch):
     parsed = _counted(monkeypatch, "parse_inputs")
     read = _counted(monkeypatch, "read_analysis_table")
     assert main(["all", "--out", str(tmp_path / "a"), "--sim", sim_file]) == 0
-    assert (len(parsed), len(read)) == (1, 0)
+    assert (len(parsed), len(read)) == (0, 0)
+
+
+def test_all_reads_each_file_of_the_run_at_most_once(tmp_path, sim_file, monkeypatch):
+    out = str(tmp_path / "a")
+    reads = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and isinstance(file, (str, os.PathLike)):
+            reads[os.path.relpath(file, out)] += 1
+        return real_open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["all", "--out", out, "--sim", sim_file]) == 0
+    monkeypatch.undo()
+    written = _tree_bytes(out)
+    assert {"inputs/procedures.csv", "profiles.csv", "pretrend.json"} <= set(written)
+    # The manifests hash each input file once; no step reads back what another made.
+    assert {n: reads[n] for n in written if reads[n] > 1} == {}
+    assert {n for n in written if reads[n]} == {n for n in written if n.startswith("inputs/")}
+
+
+def _count_in_every_module(monkeypatch, fn):
+    """Count calls of ``fn`` made through any rxdid module that imports it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rxdid") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+def test_dump_fit_renders_the_fits_did_made(tmp_path, sim_file, monkeypatch):
+    out = str(tmp_path / "r")
+    for step in ["simulate", "classify", "cohort"]:
+        assert main([step, "--out", out, "--sim", sim_file]) == 0
+    fits = _count_in_every_module(monkeypatch, fit_arrays)
+    assert main(["did", "--out", out, "--dump-fit"]) == 0
+    assert len(fits) == 4
+    did = json.load(open(os.path.join(out, "did.json")))
+    dump = open(os.path.join(out, "fit_dump.txt")).read()
+    for outcome, est in did.items():
+        section = dump.split(f"== {outcome} ")[1].split("\n== ")[0]
+        coef = re.search(r"coef exposed:post = (np\.float64\()?([^)\n]+)", section)
+        assert float(coef.group(2)) == est["interaction"]
 
 
 def test_standalone_step_reads_table_once(tmp_path, sim_file, monkeypatch):
@@ -329,7 +379,11 @@ def _append(line):
     return lambda text: text + line + "\n"
 
 
-def _edit_first_profile(column, value):
+def _replace_with(text):
+    return lambda _: text
+
+
+def _edit_first_row(column, value):
     def edit(text):
         lines = text.splitlines(keepends=True)
         fields = lines[1].rstrip("\r\n").split(",")
@@ -350,16 +404,30 @@ def _edit_first_profile(column, value):
     ("inputs/procedures.csv", _append("knee_arthroscopy"), "classify", "procedures.csv"),
     ("inputs/procedures.csv", _append("open_cholecystectomy,47562"), "classify", "47562"),
     ("inputs/antidepressants.csv", _append("AD001,extra"), "cohort", "antidepressants.csv"),
-    ("profiles.csv", _edit_first_profile(2, "x"), "cohort", "profiles.csv"),
-    ("profiles.csv", _edit_first_profile(4, "3/0"), "cohort", "profiles.csv"),
+    ("profiles.csv", _edit_first_row(2, "x"), "cohort", "profiles.csv"),
+    ("profiles.csv", _edit_first_row(4, "3/0"), "cohort", "profiles.csv"),
+    ("inputs/comorbidity_map.csv", _append("obesity,"), "cohort", "icd9_prefix"),
+    ("inputs/procedures.csv", _append("knee_arthroscopy,"), "classify", "cpt"),
+    ("exclusions.csv", _replace_with(""), "did", "exclusions.csv"),
+    ("exclusions.csv", _edit_first_row(1, "x"), "did", "exclusions.csv"),
+    ("exclusions.csv", _edit_first_row(0, "Bogus"), "did", "Bogus"),
+    ("pretrend.json", _replace_with("{"), "did", "pretrend.json"),
+    ("pretrend.json", _replace_with("[]\n"), "did", "pretrend.json"),
+    ("analysis_table.csv", _replace_header, "did", "analysis_table.csv"),
+    ("analysis_table.csv", _edit_first_row(3, "x"), "did", "analysis_table.csv"),
+    ("report.json", _replace_with("{"), "check", "report.json"),
 ], ids=["comorbidity_map_header", "comorbidity_map_missing", "comorbidity_map_unknown",
         "procedures_header", "antidepressants_header", "profiles_header",
         "comorbidity_map_one_field", "procedures_one_field", "procedures_code_twice",
-        "antidepressants_two_fields", "profiles_n_events", "profiles_zero_denominator"])
+        "antidepressants_two_fields", "profiles_n_events", "profiles_zero_denominator",
+        "comorbidity_map_empty_prefix", "procedures_empty_cpt", "exclusions_empty",
+        "exclusions_count", "exclusions_reason", "pretrend_not_json", "pretrend_not_object",
+        "analysis_table_header", "analysis_table_value", "report_not_json"])
 def test_bad_reference_file_is_one_line_validation_error(
         tmp_path, sim_file, capsys, rel, edit, step, named):
     out = str(tmp_path / "r")
-    for s in ["simulate", "classify"]:
+    # every step before ``step``, and at least simulate and classify
+    for s in STEPS[:max(2, STEPS.index(step))]:
         assert main([s, "--out", out, "--sim", sim_file]) == 0
     path = os.path.join(out, rel)
     text = open(path).read()

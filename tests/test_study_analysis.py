@@ -23,7 +23,7 @@ from rxdid.study_analysis import (
     std_diff_proportion,
     table_one,
     trend_series,
-    write_report_json,
+    write_json,
 )
 
 CAL = StudyCalendar()
@@ -347,6 +347,6 @@ def test_canned_estimates_render_verbatim():
 def test_report_json_byte_identical(tmp_path):
     report = {"run_id": "r", "did": {"a": 1.0, "b": [1, 2]}}
     p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
-    write_report_json(p1, report)
-    write_report_json(p2, json.loads(open(p1).read()) and report)
+    write_json(p1, report)
+    write_json(p2, json.loads(open(p1).read()) and report)
     assert open(p1, "rb").read() == open(p2, "rb").read()
