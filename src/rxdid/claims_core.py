@@ -1,4 +1,5 @@
-"""Domain data model, calendar arithmetic, and validated CSV ingestion.
+"""Domain data model, calendar arithmetic, validated CSV ingestion, and
+the one reader and writer of each file format the pipeline uses.
 
 All dates are ``datetime.date``; every window rule downstream works in
 calendar days via :func:`days_between`.
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import json
 import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -329,8 +331,38 @@ def read_reference_csv(path: str, columns: list[str], parse) -> list:
     return out
 
 
-def _fmt_num(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() else repr(x)
+def fmt_num(x: float) -> str:
+    """A number as the input files and the analysis table write it: whole values
+    without a fractional part, others in the shortest form that reads back exactly."""
+    return repr(int(x)) if float(x).is_integer() else repr(float(x))
+
+
+def write_csv(path: str, columns: list[str], rows) -> None:
+    """The header ``columns``, then ``rows``: UTF-8, the csv module's default dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def write_json(path: str, data) -> None:
+    """Indented by 2, keys sorted, with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(data, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def load_json(path: str, valid: Callable, expected: str):
+    """A JSON file of the run directory. One that does not parse, or whose
+    data ``valid`` rejects, is a MalformedRow naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except json.JSONDecodeError as e:
+        raise MalformedRow(path, e.lineno, f"not JSON: {e.msg}") from None
+    if not valid(data):
+        raise MalformedRow(path, 1, f"expected {expected}")
+    return data
 
 
 # Row parsers get a row with the right field count, the calendar and the
@@ -437,7 +469,7 @@ INPUT_FILES = [
         _parse_catalog,
         lambda e: [e.drug_code, e.opioid_ingredient.value,
                    "true" if e.is_oral_analgesic_opioid else "false",
-                   _fmt_num(e.strength_mg_per_unit), _fmt_num(e.mme_factor)],
+                   fmt_num(e.strength_mg_per_unit), fmt_num(e.mme_factor)],
         "catalog", unique=True,
     ),
     InputFile(
@@ -448,7 +480,7 @@ INPUT_FILES = [
     InputFile(
         "pharmacy.csv", ["person_id", "fill_date", "drug_code", "quantity", "days_supply"],
         _parse_pharmacy,
-        lambda c: [c.person_id, c.fill_date.isoformat(), c.drug_code, _fmt_num(c.quantity),
+        lambda c: [c.person_id, c.fill_date.isoformat(), c.drug_code, fmt_num(c.quantity),
                    "" if c.days_supply is None else c.days_supply],
         "pharmacy",
     ),
@@ -561,12 +593,11 @@ def write_store(store: ClaimsStore, out_dir: str) -> list[str]:
     written = []
     for f in INPUT_FILES:
         path = os.path.join(out_dir, f.name)
-        with open(path, "w", newline="", encoding="utf-8") as out:
-            w = csv.writer(out)
-            w.writerow(f.columns)
-            index = getattr(store, f.index)
-            for key in sorted(index):
-                records = index[key]   # a person's list, or one record
-                w.writerows(map(f.format, records if isinstance(records, list) else [records]))
+        index = getattr(store, f.index)
+        # index[key] is a person's list of records, or one record
+        write_csv(path, f.columns, (
+            f.format(r) for key in sorted(index)
+            for r in (index[key] if isinstance(index[key], list) else [index[key]])
+        ))
         written.append(path)
     return written

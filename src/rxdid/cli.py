@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .claims_core import ClaimsError, ClaimsStore, StudyCalendar, parse_inputs
+from .claims_core import ClaimsError, ClaimsStore, StudyCalendar, parse_inputs, write_json
 from .cohort_builder import (
     ExclusionReason,
     build_cohort,
@@ -47,16 +47,15 @@ from .study_analysis import (
     AnalysisError,
     build_analysis_table,
     estimate_json,
-    load_json,
     read_analysis_table,
     read_pretrend_json,
+    read_report_json,
     render_report_from_estimates,
     run_did,
     run_pretrend,
     table_one,
     trend_series,
     write_analysis_table,
-    write_json,
     write_table_one_csv,
     write_trends_csv,
 )
@@ -205,7 +204,7 @@ class _Run:
 
     @cached_property
     def report(self) -> dict:
-        return self._read("report.json", load_json, "did")
+        return self._read("report.json", read_report_json, "did")
 
     @cached_property
     def table(self) -> dict:

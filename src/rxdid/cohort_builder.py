@@ -2,7 +2,6 @@
 exclusion audit trail."""
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -18,6 +17,7 @@ from .claims_core import (
     index_anchor_dates,
     opioid_fills_in_window,
     read_reference_csv,
+    write_csv,
 )
 from .prescriber_profile import (
     IndexEvent,
@@ -229,32 +229,27 @@ COHORT_COLUMNS = [
     "early_anchor", "late_anchor", "age_years", "sex", "procedure_name",
     "setting", "los_category", "provider_type",
 ]
+EXCLUSION_COLUMNS = ["reason", "count"]
 
 
 def write_cohort_csv(path: str, rows: list[CohortRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(COHORT_COLUMNS)
-        for r in rows:
-            w.writerow([
-                r.person_id, r.provider_id, r.exposure.value, r.period.value,
-                r.index_event.claim.claim_id,
-                r.index_event.early_anchor.isoformat(),
-                r.index_event.late_anchor.isoformat(),
-                r.age_years, r.sex.value, r.procedure_name,
-                r.setting.value, r.los_category.value, r.provider_type.value,
-            ])
+    write_csv(path, COHORT_COLUMNS, (
+        [r.person_id, r.provider_id, r.exposure.value, r.period.value,
+         r.index_event.claim.claim_id,
+         r.index_event.early_anchor.isoformat(),
+         r.index_event.late_anchor.isoformat(),
+         r.age_years, r.sex.value, r.procedure_name,
+         r.setting.value, r.los_category.value, r.provider_type.value]
+        for r in rows
+    ))
 
 
 def write_exclusions_csv(path: str, audit: dict[ExclusionReason, int]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["reason", "count"])
-        for reason in ExclusionReason:
-            w.writerow([reason.value, audit.get(reason, 0)])
+    write_csv(path, EXCLUSION_COLUMNS,
+              ([reason.value, audit.get(reason, 0)] for reason in ExclusionReason))
 
 
 def read_exclusions_csv(path: str) -> dict[ExclusionReason, int]:
     return dict(read_reference_csv(
-        path, ["reason", "count"], lambda row: (ExclusionReason(row[0].strip()), int(row[1]))
+        path, EXCLUSION_COLUMNS, lambda row: (ExclusionReason(row[0].strip()), int(row[1]))
     ))

@@ -15,6 +15,7 @@ ABS_DEVIANCE_TOL = 1e-12
 # quasi-separated nuisance column saturates (|eta| ~ 23) instead of
 # overflowing; constant responses are rejected up front.
 MU_EPS = 1e-10
+CI_LEVEL = 0.95
 
 
 class GlmError(Exception):
@@ -152,19 +153,6 @@ class _GammaLog:
 
 
 _FAMILIES = {BINOMIAL_LOGIT: _Logit, GAMMA_LOG: _GammaLog}
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    family: str
-    response: str
-    terms: tuple[str, ...]
-    cluster: str
-    intercept: bool = True
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
 
 
 @dataclass
@@ -367,21 +355,6 @@ def fit_arrays(
     return result
 
 
-def fit(
-    spec: ModelSpec,
-    data: dict[str, np.ndarray],
-    drop_collinear: bool = False,
-) -> FitResult:
-    """Fit a ModelSpec against a named-column table."""
-    X, names = build_design(data, spec.terms, spec.intercept)
-    y = np.asarray(data[spec.response], dtype=float)
-    cluster_ids = np.asarray(data[spec.cluster])
-    return fit_arrays(
-        X, y, spec.family, names=names, cluster_ids=cluster_ids,
-        drop_collinear=drop_collinear,
-    )
-
-
 def _scores(fit_result: FitResult) -> np.ndarray:
     """Per-observation quasi-score contributions (n x p)."""
     fam = _FAMILIES[fit_result.family]
@@ -469,13 +442,11 @@ class MarginalEffect:
     ci_high: float
 
 
-def marginal_effect(
-    fit_result: FitResult, term: str, level: float = 0.95
-) -> MarginalEffect:
+def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     """Average marginal effect of a binary design column by standardization.
 
     Mean over rows of [prediction at term=1 minus prediction at term=0];
-    interval by the delta method on the robust covariance.
+    CI_LEVEL interval by the delta method on the robust covariance.
     """
     if term not in fit_result.names:
         return MarginalEffect(0.0, 0.0, 0.0, 0.0)
@@ -495,12 +466,12 @@ def marginal_effect(
     cov = fit_result.robust_cov if fit_result.robust_cov is not None else fit_result.model_cov
     var = float(grad @ cov @ grad)
     se = float(np.sqrt(max(var, 0.0)))
-    zcrit = float(ndtri(0.5 + level / 2.0))
+    zcrit = float(ndtri(0.5 + CI_LEVEL / 2.0))
     return MarginalEffect(effect, se, effect - zcrit * se, effect + zcrit * se)
 
 
 def confidence_interval(
-    fit_result: FitResult, name: str, level: float = 0.95
+    fit_result: FitResult, name: str, level: float = CI_LEVEL
 ) -> tuple[float, float]:
     b = fit_result.coef(name)
     se = fit_result.robust_se(name)

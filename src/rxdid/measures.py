@@ -1,7 +1,6 @@
 """Study outcomes, MME conversion, and the covariate vector."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .claims_core import (
@@ -13,8 +12,10 @@ from .claims_core import (
     ProviderType,
     Sex,
     days_between,
+    normalize_dx,
     opioid_fills_in_window,
     read_reference_csv,
+    write_csv,
 )
 from .cohort_builder import CohortRow, LosCategory
 
@@ -134,6 +135,17 @@ DEFAULT_COMORBIDITY_MAP: dict[str, tuple[str, ...]] = {
 }
 
 
+COMORBIDITY_MAP_COLUMNS = ["condition", "icd9_prefix"]
+
+
+def _parse_comorbidity(row: list[str]) -> tuple[str, str]:
+    prefix = normalize_dx(row[1])
+    if not prefix:
+        # an empty prefix would match every diagnosis code
+        raise ValueError("empty icd9_prefix")
+    return row[0].strip(), prefix
+
+
 @dataclass(frozen=True)
 class ComorbidityMap:
     conditions: dict[str, tuple[str, ...]]
@@ -146,10 +158,8 @@ class ComorbidityMap:
     def from_file(cls, path: str) -> "ComorbidityMap":
         """Read a map whose conditions are exactly COMORBIDITY_ORDER."""
         conditions: dict[str, list[str]] = {}
-        for condition, prefix in read_reference_csv(
-            path, ["condition", "icd9_prefix"],
-            lambda row: (row[0].strip(), row[1].replace(".", "").strip().upper()),
-        ):
+        for condition, prefix in read_reference_csv(path, COMORBIDITY_MAP_COLUMNS,
+                                                    _parse_comorbidity):
             conditions.setdefault(condition, []).append(prefix)
         missing = [c for c in COMORBIDITY_ORDER if c not in conditions]
         unknown = sorted(set(conditions) - set(COMORBIDITY_ORDER))
@@ -181,12 +191,10 @@ class ComorbidityMap:
 
 def write_comorbidity_map_csv(path: str, cmap: ComorbidityMap | None = None) -> None:
     cmap = cmap or ComorbidityMap.default()
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["condition", "icd9_prefix"])
-        for condition in cmap.conditions:
-            for prefix in cmap.conditions[condition]:
-                w.writerow([condition, prefix])
+    write_csv(path, COMORBIDITY_MAP_COLUMNS, (
+        [condition, prefix]
+        for condition, prefixes in cmap.conditions.items() for prefix in prefixes
+    ))
 
 
 COMORBIDITY_ORDER = list(DEFAULT_COMORBIDITY_MAP)
@@ -213,16 +221,15 @@ COVARIATE_COLUMNS = (
 )
 
 
+ANTIDEPRESSANT_COLUMNS = ["drug_code"]
+
+
 def read_antidepressants_csv(path: str) -> frozenset[str]:
-    return frozenset(read_reference_csv(path, ["drug_code"], lambda row: row[0].strip()))
+    return frozenset(read_reference_csv(path, ANTIDEPRESSANT_COLUMNS, lambda row: row[0].strip()))
 
 
 def write_antidepressants_csv(path: str, codes) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["drug_code"])
-        for code in sorted(codes):
-            w.writerow([code])
+    write_csv(path, ANTIDEPRESSANT_COLUMNS, ([code] for code in sorted(codes)))
 
 
 def compute_covariates(

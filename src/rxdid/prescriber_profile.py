@@ -1,7 +1,6 @@
 """Provider baseline hydrocodone-share profiling and classification."""
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 from datetime import date
@@ -17,6 +16,7 @@ from .claims_core import (
     index_anchor_dates,
     opioid_fills_in_window,
     read_reference_csv,
+    write_csv,
 )
 
 
@@ -55,13 +55,14 @@ HIP_FRACTURE_DX_PREFIX = "820"
 
 OPIOID_FILL_WINDOW_DAYS = 7
 
+PROCEDURE_COLUMNS = ["procedure_name", "cpt"]
+
 
 @dataclass(frozen=True)
 class ProcedureCodeSet:
     procedures: dict[str, frozenset[str]] = field(
         default_factory=lambda: dict(DEFAULT_PROCEDURES)
     )
-    hip_fracture_dx_prefix: str = HIP_FRACTURE_DX_PREFIX
 
     def __post_init__(self):
         owner: dict[str, str] = {}
@@ -81,7 +82,7 @@ class ProcedureCodeSet:
     def from_file(cls, path: str) -> "ProcedureCodeSet":
         procs: dict[str, set[str]] = {}
         for name, cpt in read_reference_csv(
-            path, ["procedure_name", "cpt"], lambda row: (row[0].strip(), row[1].strip())
+            path, PROCEDURE_COLUMNS, lambda row: (row[0].strip(), row[1].strip())
         ):
             procs.setdefault(name, set()).add(cpt)
         return cls({name: frozenset(codes) for name, codes in procs.items()})
@@ -89,12 +90,9 @@ class ProcedureCodeSet:
 
 def write_procedures_csv(path: str, codes: ProcedureCodeSet | None = None) -> None:
     codes = codes or ProcedureCodeSet()
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["procedure_name", "cpt"])
-        for name in sorted(codes.procedures):
-            for cpt in sorted(codes.procedures[name]):
-                w.writerow([name, cpt])
+    write_csv(path, PROCEDURE_COLUMNS, (
+        [name, cpt] for name in sorted(codes.procedures) for cpt in sorted(codes.procedures[name])
+    ))
 
 
 class ProviderClass(str, enum.Enum):
@@ -140,7 +138,7 @@ def eligible_procedure_claims(
         if name is None:
             continue
         if name == "total_hip_replacement" and any(
-            dx.startswith(codes.hip_fracture_dx_prefix) for dx in claim.diagnoses
+            dx.startswith(HIP_FRACTURE_DX_PREFIX) for dx in claim.diagnoses
         ):
             continue
         out.append((name, claim))
@@ -275,15 +273,11 @@ PROFILE_COLUMNS = ["provider_id", "provider_type", "n_events", "n_hydrocodone", 
 
 
 def write_profiles_csv(path: str, profiles: dict[str, ProviderProfile]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(PROFILE_COLUMNS)
-        for provider_id in sorted(profiles):
-            p = profiles[provider_id]
-            w.writerow([
-                p.provider_id, p.provider_type.value, p.n_events, p.n_hydrocodone,
-                f"{p.n_hydrocodone}/{p.n_events}", p.provider_class.value,
-            ])
+    write_csv(path, PROFILE_COLUMNS, (
+        [p.provider_id, p.provider_type.value, p.n_events, p.n_hydrocodone,
+         f"{p.n_hydrocodone}/{p.n_events}", p.provider_class.value]
+        for _, p in sorted(profiles.items())
+    ))
 
 
 def _parse_profile(row: list[str]) -> ProviderProfile:

@@ -2,15 +2,23 @@
 and report assembly."""
 from __future__ import annotations
 
-import csv
-import json
+import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import date, timedelta
 
 import numpy as np
 
-from .claims_core import ClaimsStore, MalformedRow, StudyCalendar, days_between, read_reference_csv
+from .claims_core import (
+    ClaimsStore,
+    StudyCalendar,
+    days_between,
+    fmt_num,
+    load_json,
+    read_reference_csv,
+    write_csv,
+)
 from .cohort_builder import CohortRow, Exposure, Period
 from .glm_engine import (
     BINOMIAL_LOGIT,
@@ -54,6 +62,33 @@ MME_OUTCOMES = {"initial_mme_7d", "total_mme_30d"}
 
 SIGNIFICANCE_LEVEL = 0.05
 DAYS_PER_YEAR = 365.25
+TREND_BIN_DAYS = 91
+
+ANALYSIS_TABLE_COLUMNS = (
+    ["person_id", "provider_id", "late_anchor", "exposed", "post"]
+    + OUTCOMES + COVARIATE_COLUMNS
+)
+# person_id, provider_id and late_anchor, then the float columns
+_FLOAT_COLUMNS = ANALYSIS_TABLE_COLUMNS[3:]
+_outcome_values = operator.attrgetter(*OUTCOMES)
+_covariate_values = operator.itemgetter(*COVARIATE_COLUMNS)
+
+
+def _table_from_rows(rows, calendar: StudyCalendar) -> dict:
+    """Columnar table of row tuples in ANALYSIS_TABLE_COLUMNS order. Rows are
+    taken in blocks and each list is freed once its array exists, so a
+    table's rows, lists and arrays are never all held at once."""
+    rows = iter(rows)
+    columns = [[] for _ in ANALYSIS_TABLE_COLUMNS]
+    for block in iter(lambda: list(itertools.islice(rows, 1024)), []):
+        for column, values in zip(columns, zip(*block)):
+            column.extend(values)
+    table: dict = {}
+    for name, values in zip(ANALYSIS_TABLE_COLUMNS, columns):
+        table[name] = np.asarray(values, dtype=float if name in _FLOAT_COLUMNS else object)
+        values.clear()
+    table["_calendar"] = calendar
+    return table
 
 
 def build_analysis_table(
@@ -63,70 +98,29 @@ def build_analysis_table(
     antidepressant_codes: frozenset[str] = frozenset(),
 ) -> dict:
     """Columnar analysis table: ids, design indicators, outcomes, covariates."""
-    calendar = store.calendar
-    table: dict = {name: [] for name in (
-        ["person_id", "provider_id", "late_anchor", "exposed", "post"]
-        + OUTCOMES + COVARIATE_COLUMNS
-    )}
-    for row in rows:
-        outcomes = compute_outcomes(row, store)
-        covariates = compute_covariates(row, store, cmap, antidepressant_codes)
-        table["person_id"].append(row.person_id)
-        table["provider_id"].append(row.provider_id)
-        table["late_anchor"].append(row.index_event.late_anchor)
-        table["exposed"].append(1.0 if row.exposure is Exposure.EXPOSED else 0.0)
-        table["post"].append(1.0 if row.period is Period.POST else 0.0)
-        table["persistent_use_90_180"].append(1.0 if outcomes.persistent_use_90_180 else 0.0)
-        table["initial_mme_7d"].append(outcomes.initial_mme_7d)
-        table["any_refill_30d"].append(1.0 if outcomes.any_refill_30d else 0.0)
-        table["total_mme_30d"].append(outcomes.total_mme_30d)
-        for name in COVARIATE_COLUMNS:
-            table[name].append(covariates[name])
-    for name in table:
-        if name in ("person_id", "provider_id", "late_anchor"):
-            table[name] = np.asarray(table[name], dtype=object)
-        else:
-            table[name] = np.asarray(table[name], dtype=float)
-    table["_calendar"] = calendar
-    return table
-
-
-ANALYSIS_TABLE_COLUMNS = (
-    ["person_id", "provider_id", "late_anchor", "exposed", "post"]
-    + OUTCOMES + COVARIATE_COLUMNS
-)
-
-
-def _fmt(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() else repr(float(x))
-
-
-# person_id, provider_id and late_anchor, then the float columns
-_FLOAT_COLUMNS = ANALYSIS_TABLE_COLUMNS[3:]
+    # bools become 1.0 and 0.0 in the float columns
+    table_rows = (
+        (row.person_id, row.provider_id, row.index_event.late_anchor,
+         row.exposure is Exposure.EXPOSED, row.period is Period.POST,
+         *_outcome_values(compute_outcomes(row, store)),
+         *_covariate_values(compute_covariates(row, store, cmap, antidepressant_codes)))
+        for row in rows
+    )
+    return _table_from_rows(table_rows, store.calendar)
 
 
 def write_analysis_table(path: str, table: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(ANALYSIS_TABLE_COLUMNS)
-        for i in range(len(table["person_id"])):
-            w.writerow([table["person_id"][i], table["provider_id"][i],
-                        table["late_anchor"][i].isoformat()]
-                       + [_fmt(table[name][i]) for name in _FLOAT_COLUMNS])
+    ids = [table[name].tolist() for name in ("person_id", "provider_id")]
+    anchors = [d.isoformat() for d in table["late_anchor"].tolist()]
+    values = [map(fmt_num, table[name].tolist()) for name in _FLOAT_COLUMNS]
+    write_csv(path, ANALYSIS_TABLE_COLUMNS, zip(*ids, anchors, *values))
 
 
 def read_analysis_table(path: str, calendar: StudyCalendar) -> dict:
-    rows = read_reference_csv(
+    return _table_from_rows(read_reference_csv(
         path, ANALYSIS_TABLE_COLUMNS,
         lambda row: (row[0], row[1], date.fromisoformat(row[2]), *map(float, row[3:])),
-    )
-    columns = zip(*rows) if rows else [()] * len(ANALYSIS_TABLE_COLUMNS)
-    table: dict = {
-        name: np.asarray(values, dtype=float if name in _FLOAT_COLUMNS else object)
-        for name, values in zip(ANALYSIS_TABLE_COLUMNS, columns)
-    }
-    table["_calendar"] = calendar
-    return table
+    ), calendar)
 
 
 @dataclass(frozen=True)
@@ -288,8 +282,18 @@ def estimate_json(estimate: DidEstimate | PretrendResult) -> dict:
     return {k: v for k, v in asdict(replace(estimate, fit=None)).items() if k != "fit"}
 
 
+_DID_KEYS = {f.name for f in fields(DidEstimate)} - {"fit"}
 _PRETREND_KEYS = {f.name for f in fields(PretrendResult)} - {"fit"}
 _YEAR_KEYS = {f.name for f in fields(YearInteraction)}
+
+
+def _is_did_json(entry) -> bool:
+    """The shape estimate_json gives a DidEstimate, with the numbers the check reads."""
+    return (
+        isinstance(entry, dict) and set(entry) == _DID_KEYS
+        and isinstance(entry["significant"], bool)
+        and all(isinstance(entry[k], (int, float)) for k in ("interaction", "ci_low", "ci_high"))
+    )
 
 
 def _is_pretrend_json(entry) -> bool:
@@ -305,21 +309,19 @@ def _is_pretrend_json(entry) -> bool:
     )
 
 
-def load_json(path: str):
-    """A JSON file of the run directory; one that does not parse is a MalformedRow."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except json.JSONDecodeError as e:
-        raise MalformedRow(path, e.lineno, f"not JSON: {e.msg}") from None
-
-
 def read_pretrend_json(path: str) -> dict:
     """pretrend.json as ``pretrend`` writes it: outcome -> estimate_json."""
-    data = load_json(path)
-    if not (isinstance(data, dict) and all(map(_is_pretrend_json, data.values()))):
-        raise MalformedRow(path, 1, "expected one pre-trend result object per outcome")
-    return data
+    return load_json(
+        path, lambda data: isinstance(data, dict) and all(map(_is_pretrend_json, data.values())),
+        "one pre-trend result object per outcome")
+
+
+def read_report_json(path: str) -> dict:
+    """report.json as ``did`` writes it: its ``did`` maps outcome -> estimate_json."""
+    return load_json(
+        path, lambda data: isinstance(data, dict) and isinstance(data.get("did"), dict)
+        and all(map(_is_did_json, data["did"].values())),
+        "an object whose did holds one estimate object per outcome")
 
 
 @dataclass(frozen=True)
@@ -329,16 +331,15 @@ class TrendBin:
     mean: float
 
 
-def _bin_starts(start: date, end: date, bin_days: int) -> list[date]:
+def _bin_starts(start: date, end: date) -> list[date]:
     total = days_between(start, end) + 1
-    n_full = max(total // bin_days, 1)
-    return [start + timedelta(days=i * bin_days) for i in range(n_full)]
+    n_full = max(total // TREND_BIN_DAYS, 1)
+    return [start + timedelta(days=i * TREND_BIN_DAYS) for i in range(n_full)]
 
 
-def trend_series(
-    table: dict, outcome: str, bin_days: int = 91
-) -> dict[str, list[TrendBin]]:
-    """Per-group bin means; the final partial bin merges into the last full bin."""
+def trend_series(table: dict, outcome: str) -> dict[str, list[TrendBin]]:
+    """Per-group means over TREND_BIN_DAYS bins; the final partial bin
+    merges into the last full bin."""
     calendar = table["_calendar"]
     out: dict[str, list[TrendBin]] = {}
     for group, mask in (
@@ -350,14 +351,14 @@ def trend_series(
             (calendar.pre_start, calendar.pre_end),
             (calendar.post_start, calendar.post_end),
         ):
-            starts = _bin_starts(start, end, bin_days)
+            starts = _bin_starts(start, end)
             sums = [0.0] * len(starts)
             counts = [0] * len(starts)
             for i in np.flatnonzero(mask):
                 d = table["late_anchor"][i]
                 if not (start <= d <= end):
                     continue
-                idx = min(days_between(start, d) // bin_days, len(starts) - 1)
+                idx = min(days_between(start, d) // TREND_BIN_DAYS, len(starts) - 1)
                 sums[idx] += table[outcome][i]
                 counts[idx] += 1
             for s, total, n in zip(starts, sums, counts):
@@ -367,15 +368,10 @@ def trend_series(
 
 
 def write_trends_csv(path: str, series: dict[str, list[TrendBin]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["group", "bin_start", "n", "mean"])
-        for group in ("Exposed", "Unexposed"):
-            for b in series[group]:
-                w.writerow([
-                    group, b.bin_start.isoformat(), b.n,
-                    "" if math.isnan(b.mean) else repr(b.mean),
-                ])
+    write_csv(path, ["group", "bin_start", "n", "mean"], (
+        [group, b.bin_start.isoformat(), b.n, "" if math.isnan(b.mean) else repr(b.mean)]
+        for group in ("Exposed", "Unexposed") for b in series[group]
+    ))
 
 
 def std_diff_continuous(m1: float, s1: float, m2: float, s2: float) -> float:
@@ -450,15 +446,11 @@ def table_one(table: dict) -> list[dict]:
 
 
 def write_table_one_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["variable", "kind", "exposed", "unexposed", "std_diff"])
-        for r in rows:
-            d = r["std_diff"]
-            w.writerow([
-                r["variable"], r["kind"], r["exposed"], r["unexposed"],
-                "" if isinstance(d, float) and math.isnan(d) else repr(float(d)),
-            ])
+    write_csv(path, ["variable", "kind", "exposed", "unexposed", "std_diff"], (
+        [r["variable"], r["kind"], r["exposed"], r["unexposed"],
+         "" if math.isnan(r["std_diff"]) else repr(float(r["std_diff"]))]
+        for r in rows
+    ))
 
 
 # --- report rendering -------------------------------------------------------
@@ -505,8 +497,3 @@ def render_report_from_estimates(estimates: dict) -> dict:
         }
     return report
 
-
-def write_json(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")

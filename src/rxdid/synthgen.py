@@ -7,7 +7,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from datetime import timedelta
 
 from .claims_core import (
@@ -23,7 +23,9 @@ from .claims_core import (
     Sex,
     StudyCalendar,
     days_between,
+    load_json,
     store_from_records,
+    write_json,
     write_store,
 )
 from .measures import DEFAULT_COMORBIDITY_MAP
@@ -387,16 +389,27 @@ def generate(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_store(store, out_dir)
-        with open(os.path.join(out_dir, "ground_truth.json"), "w", encoding="utf-8") as f:
-            json.dump(asdict(truth), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(os.path.join(out_dir, "ground_truth.json"), asdict(truth))
     return store, truth
 
 
+def _is_ground_truth_json(data) -> bool:
+    """The shape ``generate`` writes: GroundTruth's fields, each of its
+    type, with positive injected multipliers."""
+    return (
+        isinstance(data, dict) and set(data) == {f.name for f in fields(GroundTruth)}
+        and isinstance(data["run_id"], str)
+        and all(type(data[k]) is int for k in ("seed", "n_episodes"))
+        and isinstance(data["injected_effects"], dict)
+        and all(type(v) in (int, float) and v > 0 for v in data["injected_effects"].values())
+        and isinstance(data["provider_strata"], dict)
+        and all(isinstance(v, str) for v in data["provider_strata"].values())
+    )
+
+
 def load_ground_truth(path: str) -> GroundTruth:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    return GroundTruth(**data)
+    return GroundTruth(**load_json(path, _is_ground_truth_json,
+                                   "a ground-truth object as `simulate` writes it"))
 
 
 def truth_check(truth: GroundTruth, report: dict) -> dict:

@@ -365,3 +365,15 @@ def test_opioid_fills_in_window_bounds_and_order():
     assert len(opioid_fills_in_window(store, "p1", anchor, 0, 7)) == 2
     with pytest.raises(MissingCatalogEntry):
         opioid_fills_in_window(store, "p1", anchor, 0, 30)
+
+
+def test_csv_and_json_files_are_written_and_read_only_in_claims_core():
+    src = os.path.dirname(os.path.abspath(parse_inputs.__code__.co_filename))
+    calls = ("csv.writer(", "json.dump(", "json.load(")
+    texts = {
+        name: open(os.path.join(src, name), encoding="utf-8").read()
+        for name in sorted(os.listdir(src)) if name.endswith(".py")
+    }
+    assert all(call in texts["claims_core.py"] for call in calls)
+    assert [(name, call) for name, text in texts.items() if name != "claims_core.py"
+            for call in calls if call in text] == []

@@ -416,13 +416,19 @@ def _edit_first_row(column, value):
     ("analysis_table.csv", _replace_header, "did", "analysis_table.csv"),
     ("analysis_table.csv", _edit_first_row(3, "x"), "did", "analysis_table.csv"),
     ("report.json", _replace_with("{"), "check", "report.json"),
+    ("ground_truth.json", _replace_with("{"), "check", "ground_truth.json"),
+    ("ground_truth.json", _replace_with('{"run_id": "x"}\n'), "did", "ground_truth.json"),
+    ("report.json", _replace_with("[]\n"), "check", "report.json"),
+    ("inputs/comorbidity_map.csv", _append("obesity,."), "cohort", "empty icd9_prefix"),
 ], ids=["comorbidity_map_header", "comorbidity_map_missing", "comorbidity_map_unknown",
         "procedures_header", "antidepressants_header", "profiles_header",
         "comorbidity_map_one_field", "procedures_one_field", "procedures_code_twice",
         "antidepressants_two_fields", "profiles_n_events", "profiles_zero_denominator",
         "comorbidity_map_empty_prefix", "procedures_empty_cpt", "exclusions_empty",
         "exclusions_count", "exclusions_reason", "pretrend_not_json", "pretrend_not_object",
-        "analysis_table_header", "analysis_table_value", "report_not_json"])
+        "analysis_table_header", "analysis_table_value", "report_not_json",
+        "ground_truth_not_json", "ground_truth_missing_keys", "report_not_object",
+        "comorbidity_map_dot_prefix"])
 def test_bad_reference_file_is_one_line_validation_error(
         tmp_path, sim_file, capsys, rel, edit, step, named):
     out = str(tmp_path / "r")
@@ -440,8 +446,9 @@ def test_bad_reference_file_is_one_line_validation_error(
 
 
 # sha256 of the run-directory files that no BLAS call touches, for SIM_CFG.
-# They pin ingestion, profiling, the cohort rules and the outcome and
-# covariate measures: a change that moves any of them must say so.
+# They pin ingestion, profiling, the cohort rules, the outcome and
+# covariate measures, the descriptive table and the trend series, and the
+# format of each file: a change that moves any of them must say so.
 GOLDEN_SHA256 = {
     "inputs/antidepressants.csv": "6062c282084d77867185936dd42d92ce11de85a6634b5b8e4ef1f18f785486db",
     "inputs/comorbidity_map.csv": "53149faac89610dccdefa45eef96b95b2f83a62a8ef80992c642940351ee86f9",
@@ -455,12 +462,19 @@ GOLDEN_SHA256 = {
     "cohort.csv": "1457706063f0907aba3d0df66f8b538f4a4919bd486e343c157c3ee7de02afba",
     "exclusions.csv": "bc84562ef6a86360e909af761fa17e7217aec77779acefd70f11b8e073ecf17d",
     "analysis_table.csv": "527b56199613f90c21e2a6c25bef18795df81fadd8743cb3a546bc1a1fb75ded",
+    "ground_truth.json": "688c24b5a424c7377f04eb47555da1f7d68be9aa55192dab5b289f0c0ed9bb93",
+    "table_one.csv": "d6de9ba897b7fab0ebf9fdcb40d9cf9ccb1211e7e177835ddd070aac63dd53d8",
+    "trends_any_refill_30d.csv": "b100fe1a60db8b937263b74cb6b3c246c74b90eb19b647a63c8913690fa1f9d5",
+    "trends_initial_mme_7d.csv": "1b1103fd6a49a5869783eebc3e1f5451ce0556fe837a155d250ca31e7c6a7850",
+    "trends_persistent_use_90_180.csv":
+        "3a04387e5c4e20bf51f38f392fefeea9a8ca6981acc9a9d1ee80cbbafddec1ec",
+    "trends_total_mme_30d.csv": "b496b1d47e516a522d47006840f645d949ab31dfc1fc4c7f08f3c93626242189",
 }
 
 
 def test_sim_run_files_match_golden_digests(tmp_path, sim_file):
     out = str(tmp_path / "r")
-    for step in ["simulate", "classify", "cohort"]:
+    for step in ["simulate", "classify", "cohort", "describe", "trends"]:
         assert main([step, "--out", out, "--sim", sim_file]) == 0
     digests = {
         rel: hashlib.sha256(open(os.path.join(out, rel), "rb").read()).hexdigest()

@@ -12,14 +12,12 @@ from rxdid.glm_engine import (
     BINOMIAL_LOGIT,
     GAMMA_LOG,
     FitResult,
-    ModelSpec,
     RankDeficient,
     SeparationSuspected,
     TooFewClusters,
     build_design,
     cluster_robust_cov,
     confidence_interval,
-    fit,
     fit_arrays,
     hc1_cov,
     marginal_effect,
@@ -395,21 +393,3 @@ def test_build_design_interaction_products():
     assert names == ["intercept", "a", "b", "a:b"]
     assert np.allclose(X[:, 3], data["a"] * data["b"])
     assert np.allclose(X[:, 0], 1.0)
-
-
-def test_fit_from_spec():
-    X, y = _grouped_binary()
-    data = {
-        "y": y, "x": X[:, 1],
-        "cl": np.repeat(np.arange(20), 10),
-    }
-    spec = ModelSpec(BINOMIAL_LOGIT, "y", ("x",), "cl")
-    res = fit(spec, data)
-    assert res.names == ["intercept", "x"]
-    assert res.n_clusters == 20
-    assert res.coef("x") == pytest.approx(np.log(60 / 40) - np.log(30 / 70), abs=1e-10)
-
-
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        ModelSpec("poisson_log", "y", ("x",), "cl")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rxdid.study_analysis as sa
-from rxdid.claims_core import StudyCalendar
+from rxdid.claims_core import StudyCalendar, write_json
 from rxdid.glm_engine import NonConvergence, fit_arrays
 from rxdid.study_analysis import (
     DegenerateDesign,
@@ -23,7 +23,6 @@ from rxdid.study_analysis import (
     std_diff_proportion,
     table_one,
     trend_series,
-    write_json,
 )
 
 CAL = StudyCalendar()
