@@ -260,9 +260,6 @@ class ClaimsStore:
             counts[r.filename] = counts.get(r.filename, 0) + 1
         return counts
 
-    def persons_with_medical_claims(self) -> list[str]:
-        return sorted(self.medical)
-
 
 def opioid_fills_in_window(
     store: ClaimsStore, person_id: str, anchor: date, lo: int, hi: int

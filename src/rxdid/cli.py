@@ -288,7 +288,8 @@ def step_pretrend(args, run: _Run) -> list[str]:
 
 
 def _fit_dump(outcome: str, fit: FitResult) -> str:
-    coefs = "".join(f"coef {name} = {b!r}\n" for name, b in zip(fit.names, fit.coefficients))
+    coefs = "".join(
+        f"coef {name} = {b!r}\n" for name, b in zip(fit.names, fit.coefficients.tolist()))
     return (f"== {outcome} ({fit.family}) ==\n"
             f"n_obs={fit.n_obs} n_clusters={fit.n_clusters} "
             f"iterations={fit.n_iterations} converged={fit.converged}\n"

@@ -9,12 +9,10 @@ from datetime import date, timedelta
 from .claims_core import (
     ClaimsStore,
     MedicalClaim,
-    ProviderType,
     Setting,
     Sex,
     StudyCalendar,
     days_between,
-    index_anchor_dates,
     opioid_fills_in_window,
     read_reference_csv,
     write_csv,
@@ -24,8 +22,8 @@ from .prescriber_profile import (
     ProcedureCodeSet,
     ProviderClass,
     ProviderProfile,
-    eligible_procedure_claims,
-    _event_from_claim,
+    eligible_procedures,
+    index_event_for,
 )
 
 MIN_AGE = 18
@@ -90,17 +88,16 @@ def los_category(claim: MedicalClaim) -> LosCategory:
 
 @dataclass(frozen=True)
 class CohortRow:
+    """An included person; the index event carries the procedure, its
+    claim (provider, setting) and anchors."""
+
     person_id: str
-    provider_id: str
     exposure: Exposure
     period: Period
     index_event: IndexEvent
     age_years: int
     sex: Sex
-    procedure_name: str
-    setting: Setting
     los_category: LosCategory
-    provider_type: ProviderType
 
 
 def _span_covering(store: ClaimsStore, person_id: str, start: date, end: date) -> bool:
@@ -118,35 +115,32 @@ def _evaluate_person(
     calendar: StudyCalendar,
     codes: ProcedureCodeSet,
 ) -> CohortRow | ExclusionReason:
-    eligible = eligible_procedure_claims(store, person_id, codes)
+    eligible = eligible_procedures(store, person_id, codes)
     if not eligible:
         return ExclusionReason.NO_ELIGIBLE_PROCEDURE
 
     # Window membership over the union of pre and post windows.
     in_window = []
     saw_washout = False
-    for name, claim in eligible:
-        _, late = index_anchor_dates(claim)
-        period = assign_period(late, calendar)
+    for procedure in eligible:
+        period = assign_period(procedure[1], calendar)
         if period in (Period.PRE, Period.POST):
-            in_window.append((late, name, claim, period))
+            in_window.append((procedure, period))
         elif period is Period.WASHOUT:
             saw_washout = True
     if not in_window:
         return ExclusionReason.WASHOUT_PERIOD if saw_washout else ExclusionReason.OUTSIDE_STUDY_WINDOW
 
-    # First procedure by earliest late_anchor; ties on that day among
-    # eligible procedures trigger the same-day exclusion.
-    in_window.sort(key=lambda t: (t[0], t[2].claim_id))
-    first_day = in_window[0][0]
-    same_day = [t for t in in_window if t[0] == first_day]
-    # Exact rebills (same provider + CPT) collapse; anything else on the
-    # first day counts as a second eligible procedure.
-    distinct = {(t[2].provider_id, t[2].cpt_code) for t in same_day}
-    if len(distinct) > 1:
+    # First procedure by earliest late_anchor, then lowest claim_id. Exact
+    # rebills (same provider + CPT) on that day collapse into it; any other
+    # eligible procedure on that day triggers the same-day exclusion.
+    (early_anchor, late_anchor, procedure_name, claim), period = in_window[0]
+    if any(
+        late == late_anchor
+        and (other.provider_id, other.cpt_code) != (claim.provider_id, claim.cpt_code)
+        for (_, late, _, other), _ in in_window[1:]
+    ):
         return ExclusionReason.MULTIPLE_SAME_DAY
-    late_anchor, procedure_name, claim, period = same_day[0]
-    early_anchor, _ = index_anchor_dates(claim)
 
     demo = store.demographics.get(person_id)
     if demo is None:
@@ -174,7 +168,7 @@ def _evaluate_person(
     ):
         return ExclusionReason.INSUFFICIENT_FOLLOWUP_ENROLLMENT
 
-    event = _event_from_claim(store, procedure_name, claim)
+    event = index_event_for(store, early_anchor, late_anchor, procedure_name, claim)
     if event is None:
         return ExclusionReason.NO_OPIOID_FILL_WITHIN_7_DAYS
 
@@ -189,16 +183,12 @@ def _evaluate_person(
     )
     return CohortRow(
         person_id=person_id,
-        provider_id=claim.provider_id,
         exposure=exposure,
         period=period,
         index_event=event,
         age_years=age,
         sex=demo.sex,
-        procedure_name=procedure_name,
-        setting=claim.setting,
         los_category=los_category(claim),
-        provider_type=claim.provider_type,
     )
 
 
@@ -215,7 +205,7 @@ def build_cohort(
     """
     rows: list[CohortRow] = []
     audit: dict[ExclusionReason, int] = {r: 0 for r in ExclusionReason}
-    for person_id in store.persons_with_medical_claims():
+    for person_id in sorted(store.medical):
         result = _evaluate_person(person_id, store, profiles, calendar, codes)
         if isinstance(result, CohortRow):
             rows.append(result)
@@ -234,13 +224,11 @@ EXCLUSION_COLUMNS = ["reason", "count"]
 
 def write_cohort_csv(path: str, rows: list[CohortRow]) -> None:
     write_csv(path, COHORT_COLUMNS, (
-        [r.person_id, r.provider_id, r.exposure.value, r.period.value,
-         r.index_event.claim.claim_id,
-         r.index_event.early_anchor.isoformat(),
-         r.index_event.late_anchor.isoformat(),
-         r.age_years, r.sex.value, r.procedure_name,
-         r.setting.value, r.los_category.value, r.provider_type.value]
-        for r in rows
+        [r.person_id, e.claim.provider_id, r.exposure.value, r.period.value,
+         e.claim.claim_id, e.early_anchor.isoformat(), e.late_anchor.isoformat(),
+         r.age_years, r.sex.value, e.procedure_name,
+         e.claim.setting.value, r.los_category.value, e.claim.provider_type.value]
+        for r in rows for e in (r.index_event,)
     ))
 
 

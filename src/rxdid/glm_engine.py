@@ -362,13 +362,6 @@ def _scores(fit_result: FitResult) -> np.ndarray:
     return fit_result.X * resid[:, None]
 
 
-def _bread(fit_result: FitResult) -> np.ndarray:
-    if fit_result.bread is not None:
-        return fit_result.bread
-    fam = _FAMILIES[fit_result.family]
-    return _information_inverse(fit_result.X, fam.irls_weights(fit_result.mu))
-
-
 def cluster_robust_cov(fit_result: FitResult, cluster_ids) -> np.ndarray:
     """Sandwich B^-1 M B^-1 over per-cluster score sums.
 
@@ -388,7 +381,7 @@ def cluster_robust_cov(fit_result: FitResult, cluster_ids) -> np.ndarray:
     np.add.at(cluster_sums, inverse, s)
     meat = cluster_sums.T @ cluster_sums
 
-    bread = _bread(fit_result)
+    bread = fit_result.bread
     correction = (G / (G - 1.0)) * ((n - 1.0) / (n - p))
     cov = correction * bread @ meat @ bread
     return (cov + cov.T) / 2.0
@@ -399,7 +392,7 @@ def hc1_cov(fit_result: FitResult) -> np.ndarray:
     n, p = fit_result.X.shape
     s = _scores(fit_result)
     meat = s.T @ s
-    bread = _bread(fit_result)
+    bread = fit_result.bread
     cov = (n / (n - p)) * bread @ meat @ bread
     return (cov + cov.T) / 2.0
 

@@ -19,7 +19,6 @@ from .claims_core import (
 )
 from .cohort_builder import CohortRow, LosCategory
 
-INITIAL_FILL_WINDOW = 7
 REFILL_WINDOW = 30
 PERSISTENCE_START = 90
 PERSISTENCE_END = 180
@@ -59,14 +58,18 @@ def mme_of_fill(claim: PharmacyClaim, entry: DrugCatalogEntry) -> float:
 
 
 def compute_outcomes(row: CohortRow, store: ClaimsStore) -> OutcomeVector:
-    """The four outcomes, all windows anchored at the index late_anchor."""
-    anchor = row.index_event.late_anchor
+    """The four outcomes, all windows anchored at the index late_anchor.
+
+    The initial fill is the index event's: its first-day fills give the
+    initial MME, and a later fill within REFILL_WINDOW is a refill.
+    """
+    event = row.index_event
+    anchor = event.late_anchor
+    first = event.first_opioid_fills
+    first_day = days_between(anchor, first[0].fill_date)
+    initial_mme = sum(mme_of_fill(f, store.catalog[f.drug_code]) for f in first)
+
     fills = opioid_fills_in_window(store, row.person_id, anchor, 0, PERSISTENCE_END)
-
-    window_7 = [t for t in fills if t[0] <= INITIAL_FILL_WINDOW]
-    first_day = min(t[0] for t in window_7)
-    initial_mme = sum(mme_of_fill(f, e) for d, f, e in window_7 if d == first_day)
-
     window_30 = [t for t in fills if t[0] <= REFILL_WINDOW]
     total_mme_30 = sum(mme_of_fill(f, e) for _, f, e in window_30)
     any_refill = any(d > first_day for d, _, _ in window_30)
@@ -150,6 +153,14 @@ def _parse_comorbidity(row: list[str]) -> tuple[str, str]:
 class ComorbidityMap:
     conditions: dict[str, tuple[str, ...]]
 
+    def __post_init__(self):
+        index: dict[str, set[str]] = {}
+        for condition, prefixes in self.conditions.items():
+            for p in prefixes:
+                index.setdefault(p, set()).add(condition)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_prefix_lengths", sorted({len(p) for p in index}))
+
     @classmethod
     def default(cls) -> "ComorbidityMap":
         return cls(dict(DEFAULT_COMORBIDITY_MAP))
@@ -171,21 +182,11 @@ class ComorbidityMap:
 
     def conditions_for(self, dx: str) -> frozenset[str]:
         """All conditions whose prefix list matches this normalized code."""
-        index = getattr(self, "_index", None)
-        if index is None:
-            index: dict[str, set[str]] = {}
-            lengths = set()
-            for condition, prefixes in self.conditions.items():
-                for p in prefixes:
-                    index.setdefault(p, set()).add(condition)
-                    lengths.add(len(p))
-            object.__setattr__(self, "_index", index)
-            object.__setattr__(self, "_prefix_lengths", sorted(lengths))
         matched: set[str] = set()
         for ln in self._prefix_lengths:
             if ln > len(dx):
                 break
-            matched |= index.get(dx[:ln], set())
+            matched |= self._index.get(dx[:ln], set())
         return frozenset(matched)
 
 
@@ -246,7 +247,8 @@ def compute_covariates(
     """
     if row.person_id not in store.demographics:
         raise MissingDemographics(row.person_id)
-    early = row.index_event.early_anchor
+    event = row.index_event
+    early = event.early_anchor
 
     dx_codes: set[str] = set()
     for claim in store.medical.get(row.person_id, ()):
@@ -266,13 +268,13 @@ def compute_covariates(
         "age": float(row.age_years),
         "sex_female": 1.0 if row.sex is Sex.FEMALE else 0.0,
         "provider_group_practice": (
-            1.0 if row.provider_type is ProviderType.GROUP_PRACTICE else 0.0
+            1.0 if event.claim.provider_type is ProviderType.GROUP_PRACTICE else 0.0
         ),
         "los_1_2": 1.0 if row.los_category is LosCategory.ONE_TO_TWO else 0.0,
         "los_3plus": 1.0 if row.los_category is LosCategory.THREE_PLUS else 0.0,
     }
     for name in PROCEDURE_ORDER:
-        values[f"proc_{name}"] = 1.0 if row.procedure_name == name else 0.0
+        values[f"proc_{name}"] = 1.0 if event.procedure_name == name else 0.0
     present: set[str] = set()
     for dx in dx_codes:
         present |= cmap.conditions_for(dx)

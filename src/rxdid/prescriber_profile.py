@@ -104,9 +104,10 @@ class ProviderClass(str, enum.Enum):
 
 @dataclass(frozen=True)
 class IndexEvent:
-    person_id: str
-    provider_id: str
-    provider_type: ProviderType
+    """One surgical episode: the procedure claim, its anchors, and the
+    oral-analgesic opioid fills on its first fill day within
+    OPIOID_FILL_WINDOW_DAYS of the late anchor."""
+
     procedure_name: str
     claim: MedicalClaim
     early_anchor: date
@@ -124,10 +125,11 @@ class ProviderProfile:
     provider_class: ProviderClass
 
 
-def eligible_procedure_claims(
+def eligible_procedures(
     store: ClaimsStore, person_id: str, codes: ProcedureCodeSet
-) -> list[tuple[str, MedicalClaim]]:
-    """(procedure_name, claim) pairs for this person's eligible CPTs.
+) -> list[tuple[date, date, str, MedicalClaim]]:
+    """(early_anchor, late_anchor, procedure_name, claim) for each of this
+    person's eligible CPTs, in (late_anchor, claim_id) order.
 
     Total-hip-replacement claims carrying any hip-fracture diagnosis are
     dropped here.
@@ -141,23 +143,22 @@ def eligible_procedure_claims(
             dx.startswith(HIP_FRACTURE_DX_PREFIX) for dx in claim.diagnoses
         ):
             continue
-        out.append((name, claim))
+        out.append((*index_anchor_dates(claim), name, claim))
+    out.sort(key=lambda p: (p[1], p[3].claim_id))
     return out
 
 
-def _event_from_claim(
-    store: ClaimsStore, name: str, claim: MedicalClaim
+def index_event_for(
+    store: ClaimsStore, early: date, late: date, name: str, claim: MedicalClaim
 ) -> IndexEvent | None:
-    early, late = index_anchor_dates(claim)
+    """The episode of this procedure, or None without an opioid fill in
+    days 0..OPIOID_FILL_WINDOW_DAYS after the late anchor."""
     fills = opioid_fills_in_window(store, claim.person_id, late, 0, OPIOID_FILL_WINDOW_DAYS)
     if not fills:
         return None
     first_day = min(offset for offset, _, _ in fills)
     first = tuple(f for offset, f, _ in fills if offset == first_day)
-    return IndexEvent(
-        claim.person_id, claim.provider_id, claim.provider_type,
-        name, claim, early, late, first,
-    )
+    return IndexEvent(name, claim, early, late, first)
 
 
 def find_index_events(
@@ -169,20 +170,16 @@ def find_index_events(
     """Procedure claims in the window with a qualifying 7-day opioid fill.
 
     One event per (person, late_anchor, provider); duplicate billings of
-    the same triple collapse to the lowest claim_id.
+    the same triple collapse to the lowest claim_id, the first listed.
     """
     events: dict[tuple[str, date, str], IndexEvent] = {}
     for person_id in sorted(store.medical):
-        for name, claim in eligible_procedure_claims(store, person_id, codes):
-            _, late = index_anchor_dates(claim)
-            if not (window_start <= late <= window_end):
-                continue
-            event = _event_from_claim(store, name, claim)
-            if event is None:
-                continue
+        for early, late, name, claim in eligible_procedures(store, person_id, codes):
             key = (person_id, late, claim.provider_id)
-            prior = events.get(key)
-            if prior is None or claim.claim_id < prior.claim.claim_id:
+            if key in events or not (window_start <= late <= window_end):
+                continue
+            event = index_event_for(store, early, late, name, claim)
+            if event is not None:
                 events[key] = event
     return [events[k] for k in sorted(events)]
 
@@ -217,11 +214,12 @@ def classify_providers(
     counts: dict[str, list[int]] = {}
     ptypes: dict[str, ProviderType] = {}
     for ev in events:
-        n = counts.setdefault(ev.provider_id, [0, 0])
+        provider_id = ev.claim.provider_id
+        n = counts.setdefault(provider_id, [0, 0])
         n[0] += 1
         if event_is_hydrocodone(ev, store):
             n[1] += 1
-        ptypes[ev.provider_id] = ev.provider_type
+        ptypes[provider_id] = ev.claim.provider_type
 
     profiles: dict[str, ProviderProfile] = {}
     for provider_id in sorted(counts):

@@ -100,7 +100,7 @@ def build_analysis_table(
     """Columnar analysis table: ids, design indicators, outcomes, covariates."""
     # bools become 1.0 and 0.0 in the float columns
     table_rows = (
-        (row.person_id, row.provider_id, row.index_event.late_anchor,
+        (row.person_id, row.index_event.claim.provider_id, row.index_event.late_anchor,
          row.exposure is Exposure.EXPOSED, row.period is Period.POST,
          *_outcome_values(compute_outcomes(row, store)),
          *_covariate_values(compute_covariates(row, store, cmap, antidepressant_codes)))
@@ -341,6 +341,7 @@ def trend_series(table: dict, outcome: str) -> dict[str, list[TrendBin]]:
     """Per-group means over TREND_BIN_DAYS bins; the final partial bin
     merges into the last full bin."""
     calendar = table["_calendar"]
+    values = table[outcome].tolist()  # Python floats, so a mean prints as a number
     out: dict[str, list[TrendBin]] = {}
     for group, mask in (
         ("Exposed", table["exposed"] == 1.0),
@@ -359,7 +360,7 @@ def trend_series(table: dict, outcome: str) -> dict[str, list[TrendBin]]:
                 if not (start <= d <= end):
                     continue
                 idx = min(days_between(start, d) // TREND_BIN_DAYS, len(starts) - 1)
-                sums[idx] += table[outcome][i]
+                sums[idx] += values[i]
                 counts[idx] += 1
             for s, total, n in zip(starts, sums, counts):
                 bins.append(TrendBin(s, n, total / n if n else float("nan")))

@@ -17,11 +17,15 @@ import rxdid.study_analysis as sa
 from rxdid.cli import STEPS, main
 from rxdid.glm_engine import fit_arrays
 from rxdid.claims_core import StudyCalendar
+from rxdid.cohort_builder import Period, build_cohort
+from rxdid.measures import compute_outcomes, mme_of_fill
+from rxdid.prescriber_profile import ProcedureCodeSet, classify_providers, find_index_events
 from rxdid.study_analysis import (
     ANALYSIS_TABLE_COLUMNS,
     read_analysis_table,
     write_analysis_table,
 )
+from rxdid.synthgen import SimConfig, generate
 
 SIM_CFG = (
     "seed = 5\n"
@@ -275,8 +279,24 @@ def test_dump_fit_renders_the_fits_did_made(tmp_path, sim_file, monkeypatch):
     dump = open(os.path.join(out, "fit_dump.txt")).read()
     for outcome, est in did.items():
         section = dump.split(f"== {outcome} ")[1].split("\n== ")[0]
-        coef = re.search(r"coef exposed:post = (np\.float64\()?([^)\n]+)", section)
-        assert float(coef.group(2)) == est["interaction"]
+        coef = re.search(r"^coef exposed:post = ([-+.\deE]+)$", section, re.M)
+        assert coef is not None, section
+        assert float(coef.group(1)) == est["interaction"]
+
+
+def test_cohort_rows_carry_the_profiled_index_event(sim_file):
+    store, _ = generate(SimConfig.from_file(sim_file))
+    codes, calendar = ProcedureCodeSet(), store.calendar
+    events = find_index_events(store, codes, calendar.profiling_start, calendar.profiling_end)
+    rows, _ = build_cohort(store, classify_providers(events, store), calendar, codes)
+    by_key = {(e.claim.person_id, e.late_anchor, e.claim.provider_id): e for e in events}
+    pre = [r for r in rows if r.period is Period.PRE]
+    assert pre
+    for row in pre:
+        event = row.index_event
+        assert event == by_key[(row.person_id, event.late_anchor, event.claim.provider_id)]
+        assert compute_outcomes(row, store).initial_mme_7d == sum(
+            mme_of_fill(f, store.catalog[f.drug_code]) for f in event.first_opioid_fills)
 
 
 def test_standalone_step_reads_table_once(tmp_path, sim_file, monkeypatch):
@@ -464,11 +484,11 @@ GOLDEN_SHA256 = {
     "analysis_table.csv": "527b56199613f90c21e2a6c25bef18795df81fadd8743cb3a546bc1a1fb75ded",
     "ground_truth.json": "688c24b5a424c7377f04eb47555da1f7d68be9aa55192dab5b289f0c0ed9bb93",
     "table_one.csv": "d6de9ba897b7fab0ebf9fdcb40d9cf9ccb1211e7e177835ddd070aac63dd53d8",
-    "trends_any_refill_30d.csv": "b100fe1a60db8b937263b74cb6b3c246c74b90eb19b647a63c8913690fa1f9d5",
-    "trends_initial_mme_7d.csv": "1b1103fd6a49a5869783eebc3e1f5451ce0556fe837a155d250ca31e7c6a7850",
+    "trends_any_refill_30d.csv": "9bd0cb79d429ab7bc899d6fd871519a8123817e7a9e868a664fe9ea0a8a627ae",
+    "trends_initial_mme_7d.csv": "079e7bd3141a530cf42b05acbdc7894b59704f4f0b7d0dc8582886d2fce8e146",
     "trends_persistent_use_90_180.csv":
-        "3a04387e5c4e20bf51f38f392fefeea9a8ca6981acc9a9d1ee80cbbafddec1ec",
-    "trends_total_mme_30d.csv": "b496b1d47e516a522d47006840f645d949ab31dfc1fc4c7f08f3c93626242189",
+        "c9e209296b14d79ec94983f879ec8931e18ec23e14271f05d8d52a52363463d6",
+    "trends_total_mme_30d.csv": "837b2c394684f0607e403b7453f381ff4479fbea549fa25ca96be1ef0b021c4b",
 }
 
 

@@ -226,7 +226,7 @@ def test_golden_fixture_period_and_exposure():
 def test_accounting_identity():
     store = golden_fixture()
     rows, audit = _cohort(store)
-    candidates = len(store.persons_with_medical_claims())
+    candidates = len(store.medical)
     assert len(rows) + sum(audit.values()) == candidates
 
 
@@ -252,7 +252,7 @@ def test_all_prescriber_providers_all_exposed():
     store = golden_fixture()
     rows, _ = _cohort(store)
     for r in rows:
-        if r.provider_id == "drP":
+        if r.index_event.claim.provider_id == "drP":
             assert r.exposure is Exposure.EXPOSED
 
 
@@ -275,4 +275,43 @@ def test_first_procedure_across_periods():
     rows, _ = _cohort(fb.store())
     row = next(r for r in rows if r.person_id == "p_both")
     assert row.period is Period.PRE
-    assert row.procedure_name == "laparoscopic_cholecystectomy"
+    assert row.index_event.procedure_name == "laparoscopic_cholecystectomy"
+
+
+def _study_person(add):
+    """The cohort row of the one study person that ``add(fb)`` puts next to
+    the profiling providers, or the list of rules that excluded it."""
+    fb = FixtureBuilder()
+    _profiling_providers(fb)
+    _, base = _cohort(fb.store())
+    add(fb)
+    rows, audit = _cohort(fb.store())
+    study = [r for r in rows if not r.person_id.startswith("prof_")]
+    return study[0] if study else [r for r in ExclusionReason if audit[r] != base[r]]
+
+
+def _same_day_claim(claim_id, pid, day, provider, cpt):
+    return MedicalClaim(claim_id, pid, provider, ProviderType.INDIVIDUAL, cpt,
+                        day, None, None, Setting.AMBULATORY, ())
+
+
+def test_exact_same_day_rebill_is_included_under_lower_claim_id():
+    day = date(2013, 6, 1)
+    row = _study_person(lambda fb: fb.add("p_rebill", day, extra_claims=[
+        _same_day_claim("c000", "p_rebill", day, "drP", "47562")]))
+    assert row.person_id == "p_rebill"
+    assert row.index_event.claim.claim_id == "c000"
+
+
+@pytest.mark.parametrize("provider,cpt", [("drN", "47562"), ("drP", "49505")])
+def test_same_day_claim_at_other_provider_or_cpt_excludes(provider, cpt):
+    day = date(2013, 6, 1)
+    verdict = _study_person(lambda fb: fb.add("p_two", day, extra_claims=[
+        _same_day_claim("c000", "p_two", day, provider, cpt)]))
+    assert verdict == [ExclusionReason.MULTIPLE_SAME_DAY]
+
+
+def test_washout_claim_and_outside_claim_exclude_as_washout():
+    verdict = _study_person(lambda fb: fb.add("p_wo", date(2014, 9, 15), extra_claims=[
+        _same_day_claim("c000", "p_wo", date(2011, 8, 1), "drP", "47562")]))
+    assert verdict == [ExclusionReason.WASHOUT_PERIOD]

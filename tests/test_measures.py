@@ -78,15 +78,12 @@ def _row_and_store(fills, medical_extra=(), birth_year=1960):
              if 0 <= (f.fill_date - INDEX_DAY).days <= 7]
     first_day = min(f.fill_date for f in first)
     event = IndexEvent(
-        "p1", "dr1", ProviderType.INDIVIDUAL, "laparoscopic_cholecystectomy",
-        claim, INDEX_DAY, INDEX_DAY,
+        "laparoscopic_cholecystectomy", claim, INDEX_DAY, INDEX_DAY,
         tuple(f for f in first if f.fill_date == first_day),
     )
     row = CohortRow(
-        "p1", "dr1", Exposure.EXPOSED, Period.PRE, event,
-        INDEX_DAY.year - birth_year, Sex.FEMALE,
-        "laparoscopic_cholecystectomy", Setting.AMBULATORY,
-        LosCategory.ZERO, ProviderType.INDIVIDUAL,
+        "p1", Exposure.EXPOSED, Period.PRE, event,
+        INDEX_DAY.year - birth_year, Sex.FEMALE, LosCategory.ZERO,
     )
     return row, store
 

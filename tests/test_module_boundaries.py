@@ -1,0 +1,25 @@
+"""No rxdid module imports another module's private (underscore) names;
+dunders such as ``__version__`` are public."""
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rxdid"
+
+
+def _private_imports(path: pathlib.Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "rxdid":
+            continue
+        found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name_from_another():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [hit for path in files for hit in _private_imports(path)] == []

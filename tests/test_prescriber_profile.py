@@ -91,6 +91,21 @@ def test_seven_day_window_boundaries():
         assert len(find_index_events(store, codes, *WINDOW)) == expected
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_duplicate_billing_collapses_to_lower_claim_id(reverse):
+    # c7 is stored first (earlier service date); both end on 2013-02-03 at dr1
+    medical = [
+        MedicalClaim("c7", "p1", "dr1", ProviderType.INDIVIDUAL, "47562",
+                     date(2013, 2, 1), date(2013, 2, 1), date(2013, 2, 3),
+                     Setting.INPATIENT, ()),
+        _med("c3", "p1", "49505", date(2013, 2, 3)),
+    ]
+    store = _store(medical[::-1] if reverse else medical, [_fill("p1", date(2013, 2, 4))])
+    events = find_index_events(store, ProcedureCodeSet(), *WINDOW)
+    assert [e.claim.claim_id for e in events] == ["c3"]
+    assert events[0].procedure_name == "inguinal_hernia_repair"
+
+
 def _events_for_provider(n_total, n_hydro, provider="dr1"):
     medical, pharmacy = [], []
     for i in range(n_total):

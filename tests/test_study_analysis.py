@@ -23,6 +23,7 @@ from rxdid.study_analysis import (
     std_diff_proportion,
     table_one,
     trend_series,
+    write_trends_csv,
 )
 
 CAL = StudyCalendar()
@@ -240,6 +241,15 @@ def test_trend_weighted_mean_identity():
         num = sum(b.mean * b.n for b in series[group] if b.n)
         den = sum(b.n for b in series[group])
         assert num / den == pytest.approx(grand, abs=1e-12)
+
+
+def test_trends_csv_means_are_plain_numbers(tmp_path):
+    path = tmp_path / "trends.csv"
+    write_trends_csv(str(path), trend_series(_trend_table({1: 0.4, 0: 0.2}), "any_refill_30d"))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "group,bin_start,n,mean" and len(lines) > 1
+    for line in lines[1:]:
+        float(line.rsplit(",", 1)[1])
 
 
 # -- standardized differences / table one ------------------------------------
