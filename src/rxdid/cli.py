@@ -120,10 +120,12 @@ def _inputs_dir(out_dir: str) -> str:
 def _thresholds(args) -> tuple[Fraction, Fraction, int]:
     if not args.thresholds:
         return Fraction(1, 4), Fraction(3, 4), 5
-    parts = args.thresholds.split(",")
-    if len(parts) != 3:
-        raise MissingInput("--thresholds expects low,high,min_cases")
-    return Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
+    try:
+        low, high, min_cases = args.thresholds.split(",")
+        return Fraction(low), Fraction(high), int(min_cases)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidThresholds("--thresholds expects low,high,min_cases as numbers, "
+                                f"got {args.thresholds!r}") from None
 
 
 class _Run:

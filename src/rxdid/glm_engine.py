@@ -2,11 +2,11 @@
 sandwich covariance, Wald tests, and average marginal effects."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-import scipy.linalg
-from scipy.special import chdtrc, ndtri
 
 MAX_ITERATIONS = 100
 REL_DEVIANCE_TOL = 1e-9
@@ -16,6 +16,14 @@ ABS_DEVIANCE_TOL = 1e-12
 # overflowing; constant responses are rejected up front.
 MU_EPS = 1e-10
 CI_LEVEL = 0.95
+# The 95% two-sided normal critical value, within an ulp of the exact
+# quantile. NormalDist().inv_cdf(0.975) is two ulps lower; this value keeps
+# every 95% interval bit-identical to earlier releases.
+Z_975 = 1.959963984540054
+# Two remaining column norms tie when they differ by less than this fraction
+# of the larger; the pivot is the leftmost tied column, as LAPACK's geqp3
+# picks on an exact tie.
+PIVOT_TIE_RTOL = 1e-10
 
 
 class GlmError(Exception):
@@ -212,18 +220,50 @@ def build_design(
     return np.column_stack(cols), names
 
 
-def _dependent_columns(X: np.ndarray, names: list[str]) -> list[int]:
-    """Pivoted-QR detection of linearly dependent columns."""
-    if X.shape[1] == 0:
+def _dependent_columns(X: np.ndarray) -> list[int]:
+    """Column-pivoted Householder QR detection of linearly dependent columns.
+
+    X = QR, so R has X's column norms and inner products, and a pivoted QR
+    of the small R chooses the pivots a pivoted QR of X would, for the cost
+    of one unpivoted LAPACK QR. Each step pivots on the column of largest
+    remaining norm, the leftmost on a tie. Of two tied columns (two equal
+    columns, or the last two of a set of dummies that sum to the intercept)
+    the later one is therefore dropped, whatever the rounding. A pivot at or
+    below diag[0] * max(X.shape) * eps, and any column past min(X.shape),
+    is dependent.
+    """
+    p = X.shape[1]
+    if p == 0:
         return []
-    R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return list(range(X.shape[1]))
+    A = np.linalg.qr(X, mode="r")
+    k = A.shape[0]
+    order = list(range(p))
+    diag = np.zeros(k)
+    for i in range(k):
+        norms = np.linalg.norm(A[i:, i:], axis=0)
+        j = int(np.argmax(norms >= norms.max() * (1.0 - PIVOT_TIE_RTOL)))
+        diag[i] = norms[j]
+        j += i
+        A[:, [i, j]] = A[:, [j, i]]
+        order[i], order[j] = order[j], order[i]
+        # reflect A[i:, i] onto its first axis
+        v = A[i:, i].copy()
+        v[0] += math.copysign(diag[i], v[0])
+        vv = v @ v
+        if vv > 0.0:
+            A[i:, i:] -= np.outer(v, (2.0 / vv) * (v @ A[i:, i:]))
+    if k == 0 or diag[0] == 0.0:
+        return list(range(p))
     tol = diag[0] * max(X.shape) * np.finfo(float).eps
-    bad = [int(piv[i]) for i in range(len(diag)) if diag[i] <= tol]
-    bad += [int(p) for p in piv[len(diag):]]
+    bad = [order[i] for i in range(k) if diag[i] <= tol] + order[k:]
     return sorted(bad)
+
+
+def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B by the Cholesky factor A = LL'; LinAlgError unless A is
+    numerically positive definite."""
+    L = np.linalg.cholesky(A)
+    return np.linalg.solve(L.T, np.linalg.solve(L, B))
 
 
 def _wls_step(X: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -234,12 +274,13 @@ def _wls_step(X: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     Xw = X * w[:, None]
     try:
-        factor = scipy.linalg.cho_factor(Xw.T @ X, check_finite=False)
+        return _cholesky_solve(Xw.T @ X, Xw.T @ z)
     except np.linalg.LinAlgError:
         sw = np.sqrt(w)
         Q, R = np.linalg.qr(X * sw[:, None])
-        return scipy.linalg.solve_triangular(R, Q.T @ (z * sw))
-    return scipy.linalg.cho_solve(factor, Xw.T @ z, check_finite=False)
+        # R is upper triangular, so LU's partial pivoting keeps its rows
+        # in place and this solve is back substitution
+        return np.linalg.solve(R, Q.T @ (z * sw))
 
 
 def _information_inverse(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -247,11 +288,10 @@ def _information_inverse(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     when Cholesky fails; symmetrized."""
     p = X.shape[1]
     try:
-        factor = scipy.linalg.cho_factor((X * w[:, None]).T @ X, check_finite=False)
-        inv = scipy.linalg.cho_solve(factor, np.eye(p), check_finite=False)
+        inv = _cholesky_solve((X * w[:, None]).T @ X, np.eye(p))
     except np.linalg.LinAlgError:
         R = np.linalg.qr(X * np.sqrt(w)[:, None], mode="r")
-        R_inv = scipy.linalg.solve_triangular(R, np.eye(p))
+        R_inv = np.linalg.solve(R, np.eye(p))
         inv = R_inv @ R_inv.T
     return (inv + inv.T) / 2.0
 
@@ -278,7 +318,7 @@ def fit_arrays(
     fam.check_response(y)
 
     dropped: list[str] = []
-    bad = _dependent_columns(X, names)
+    bad = _dependent_columns(X)
     if bad:
         if not drop_collinear:
             raise RankDeficient([names[i] for i in bad])
@@ -384,7 +424,16 @@ def cluster_robust_cov(fit_result: FitResult, cluster_ids) -> np.ndarray:
     bread = fit_result.bread
     correction = (G / (G - 1.0)) * ((n - 1.0) / (n - p))
     cov = correction * bread @ meat @ bread
-    return (cov + cov.T) / 2.0
+    cov = (cov + cov.T) / 2.0
+    # Where every cluster's scores cancel along a coefficient, as on an
+    # exact-null fit, its robust variance is zero, and cancellation leaves it
+    # at either sign. A variance within rounding of the sandwich's absolute
+    # terms, at the rank check's tolerance, is set to exactly zero.
+    scale = correction * np.diag(np.abs(bread) @ np.abs(meat) @ np.abs(bread))
+    zero = np.diag(cov) <= max(n, p) * np.finfo(float).eps * scale
+    cov[zero, :] = 0.0
+    cov[:, zero] = 0.0
+    return cov
 
 
 def hc1_cov(fit_result: FitResult) -> np.ndarray:
@@ -405,7 +454,12 @@ class WaldResult:
 
 
 def wald_test(fit_result: FitResult, indices: list[int] | list[str]) -> WaldResult:
-    """Joint chi-square test that the selected coefficients are zero (robust covariance)."""
+    """Joint chi-square test that the selected coefficients are zero (robust covariance).
+
+    A coefficient whose robust variance is zero gives the test nothing to
+    scale it by: it is left out, with its degree of freedom, and a test
+    left with none has W = 0 and p = 1.
+    """
     idx = [
         fit_result.names.index(i) if isinstance(i, str) else int(i)
         for i in indices
@@ -413,6 +467,7 @@ def wald_test(fit_result: FitResult, indices: list[int] | list[str]) -> WaldResu
     cov = fit_result.robust_cov
     if cov is None:
         raise GlmError("no robust covariance on this fit")
+    idx = [i for i in idx if cov[i, i] != 0.0]
     b = fit_result.coefficients[idx]
     V = cov[np.ix_(idx, idx)]
     try:
@@ -423,8 +478,39 @@ def wald_test(fit_result: FitResult, indices: list[int] | list[str]) -> WaldResu
         raise SingularSubmatrix(f"covariance submatrix for {indices} is singular")
     W = float(b @ sol)
     df = len(idx)
-    # chdtrc is NaN below 0, where cancellation can leave a -1e-30-scale W
-    return WaldResult(W, df, float(chdtrc(df, max(W, 0.0))))
+    # cancellation can leave a -1e-30-scale W on an exact-null fit
+    return WaldResult(W, df, _chi2_sf(max(W, 0.0), df))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(chi-square on integer df > x) in closed form.
+
+    Even df = 2m: exp(-x/2) sum_{k<m} (x/2)^k / k!, a Poisson tail.
+    Odd df = 2m+1: erfc(sqrt(x/2)) + sqrt(2x/pi) exp(-x/2)
+    sum_{k<m} x^k / (1*3*...*(2k+1)).
+    """
+    if x <= 0.0:
+        return 1.0
+    if df % 2 == 0:
+        term = math.exp(-x / 2.0)
+        total = term
+        for k in range(1, df // 2):
+            term *= x / (2.0 * k)
+            total += term
+        return total
+    term = math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
+    total = 0.0
+    for k in range(df // 2):
+        total += term
+        term *= x / (2.0 * k + 3.0)
+    return math.erfc(math.sqrt(x / 2.0)) + total
+
+
+def _z_critical(level: float) -> float:
+    """The two-sided normal critical value of a level confidence interval."""
+    if level == CI_LEVEL:
+        return Z_975
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 @dataclass(frozen=True)
@@ -459,7 +545,7 @@ def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     cov = fit_result.robust_cov if fit_result.robust_cov is not None else fit_result.model_cov
     var = float(grad @ cov @ grad)
     se = float(np.sqrt(max(var, 0.0)))
-    zcrit = float(ndtri(0.5 + CI_LEVEL / 2.0))
+    zcrit = _z_critical(CI_LEVEL)
     return MarginalEffect(effect, se, effect - zcrit * se, effect + zcrit * se)
 
 
@@ -468,5 +554,5 @@ def confidence_interval(
 ) -> tuple[float, float]:
     b = fit_result.coef(name)
     se = fit_result.robust_se(name)
-    zcrit = float(ndtri(0.5 + level / 2.0))
+    zcrit = _z_critical(level)
     return b - zcrit * se, b + zcrit * se

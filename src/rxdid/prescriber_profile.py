@@ -279,12 +279,19 @@ def write_profiles_csv(path: str, profiles: dict[str, ProviderProfile]) -> None:
 
 
 def _parse_profile(row: list[str]) -> ProviderProfile:
+    n_events, n_hydrocodone = int(row[2]), int(row[3])
+    if n_events < 1 or not 0 <= n_hydrocodone <= n_events:
+        raise ValueError(f"need n_events >= 1 and 0 <= n_hydrocodone <= n_events, "
+                         f"got {n_events} and {n_hydrocodone}")
     num, _, den = row[4].partition("/")
     if int(den) == 0:
         raise ValueError(f"share {row[4]!r} has a zero denominator")
+    share = Fraction(int(num), int(den))
+    if share * n_events != n_hydrocodone:
+        raise ValueError(f"share {row[4]!r} is not n_hydrocodone/n_events "
+                         f"= {n_hydrocodone}/{n_events}")
     return ProviderProfile(
-        row[0], ProviderType(row[1]), int(row[2]), int(row[3]),
-        Fraction(int(num), int(den)), ProviderClass(row[5]),
+        row[0], ProviderType(row[1]), n_events, n_hydrocodone, share, ProviderClass(row[5]),
     )
 
 

@@ -123,7 +123,8 @@ class SimConfig:
     )
 
     def validate(self) -> None:
-        problems = []
+        problems = [f"{f.name}={getattr(self, f.name)} must be finite" for f in fields(self)
+                    if f.type == "float" and not math.isfinite(getattr(self, f.name))]
         for name in (
             "high_pref_fraction", "share_mean_high", "share_mean_low",
             "group_practice_fraction", "refill_prob", "persistence_prob",
@@ -145,6 +146,9 @@ class SimConfig:
             problems.append("share_concentration must be > 0")
         if self.patients_per_provider_quarter < 0:
             problems.append("patients_per_provider_quarter must be >= 0")
+        weights = list(self.procedure_weights.values())
+        if not (all(w >= 0 for w in weights) and 0 < sum(weights) < math.inf):
+            problems.append("procedure weights must be >= 0 with a finite, positive sum")
         if problems:
             raise InvalidConfig("; ".join(problems))
 
@@ -164,12 +168,16 @@ class SimConfig:
                 key = key.strip()
                 val = val.strip()
                 if key.startswith("proc_weight_"):
-                    weights[key[len("proc_weight_"):]] = float(val)
-                    continue
-                if key not in cls.__dataclass_fields__ or key == "procedure_weights":
+                    target, name, ftype = weights, key[len("proc_weight_"):], "float"
+                elif key in cls.__dataclass_fields__ and key != "procedure_weights":
+                    target, name, ftype = values, key, cls.__dataclass_fields__[key].type
+                else:
                     raise InvalidConfig(f"unknown config key {key!r}")
-                ftype = cls.__dataclass_fields__[key].type
-                values[key] = int(val) if ftype == "int" else float(val)
+                try:
+                    target[name] = int(val) if ftype == "int" else float(val)
+                except ValueError:
+                    kind = "an integer" if ftype == "int" else "a number"
+                    raise InvalidConfig(f"config key {key!r} needs {kind}, got {val!r}") from None
         if weights:
             unknown = set(weights) - set(DEFAULT_PROCEDURE_WEIGHTS)
             if unknown:

@@ -25,7 +25,7 @@ from rxdid.study_analysis import (
     read_analysis_table,
     write_analysis_table,
 )
-from rxdid.synthgen import SimConfig, generate
+from rxdid.synthgen import DEFAULT_PROCEDURE_WEIGHTS, SimConfig, generate
 
 SIM_CFG = (
     "seed = 5\n"
@@ -155,6 +155,42 @@ def test_bad_thresholds(tmp_path, sim_file):
     out = str(tmp_path / "r")
     assert main(["simulate", "--out", out, "--sim", sim_file]) == 0
     assert main(["classify", "--out", out, "--thresholds", "0.25"]) == 1
+
+
+@pytest.mark.parametrize("thresholds", ["a,b,5", "0.25,0.75,x", "1/0,0.75,5", "0.25,0.75"])
+def test_unparsable_thresholds_are_one_line_validation_error(tmp_path, sim_file, capsys,
+                                                             thresholds):
+    out = str(tmp_path / "r")
+    assert main(["simulate", "--out", out, "--sim", sim_file]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--out", out, "--thresholds", thresholds]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --thresholds") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line, named", [
+    ("n_providers = abc", "n_providers"),
+    ("n_providers = 1.5", "n_providers"),
+    ("refill_prob = often", "refill_prob"),
+    ("proc_weight_knee_arthroscopy = x", "proc_weight_knee_arthroscopy"),
+    ("initial_mme_mean = inf", "initial_mme_mean"),
+    ("effect_refill = nan", "effect_refill"),
+])
+def test_bad_sim_config_value_is_one_line_validation_error(tmp_path, capsys, line, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["simulate", "--out", str(tmp_path / "r"), "--sim", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and len(err.splitlines()) == 1
+
+
+def test_all_zero_procedure_weights_are_one_line_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("".join(f"proc_weight_{name} = 0\n" for name in DEFAULT_PROCEDURE_WEIGHTS))
+    assert main(["simulate", "--out", str(tmp_path / "r"), "--sim", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "procedure weights" in err
+    assert len(err.splitlines()) == 1
 
 
 def _post_only_table(n=40):
@@ -426,6 +462,9 @@ def _edit_first_row(column, value):
     ("inputs/antidepressants.csv", _append("AD001,extra"), "cohort", "antidepressants.csv"),
     ("profiles.csv", _edit_first_row(2, "x"), "cohort", "profiles.csv"),
     ("profiles.csv", _edit_first_row(4, "3/0"), "cohort", "profiles.csv"),
+    ("profiles.csv", _edit_first_row(4, "2/1"), "cohort", "n_hydrocodone/n_events"),
+    ("profiles.csv", _edit_first_row(3, "999"), "cohort", "n_hydrocodone <= n_events"),
+    ("profiles.csv", _edit_first_row(2, "0"), "cohort", "n_events >= 1"),
     ("inputs/comorbidity_map.csv", _append("obesity,"), "cohort", "icd9_prefix"),
     ("inputs/procedures.csv", _append("knee_arthroscopy,"), "classify", "cpt"),
     ("exclusions.csv", _replace_with(""), "did", "exclusions.csv"),
@@ -444,6 +483,8 @@ def _edit_first_row(column, value):
         "procedures_header", "antidepressants_header", "profiles_header",
         "comorbidity_map_one_field", "procedures_one_field", "procedures_code_twice",
         "antidepressants_two_fields", "profiles_n_events", "profiles_zero_denominator",
+        "profiles_share_disagrees", "profiles_more_hydrocodone_than_events",
+        "profiles_no_events",
         "comorbidity_map_empty_prefix", "procedures_empty_cpt", "exclusions_empty",
         "exclusions_count", "exclusions_reason", "pretrend_not_json", "pretrend_not_object",
         "analysis_table_header", "analysis_table_value", "report_not_json",

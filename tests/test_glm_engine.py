@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy import optimize, stats
 
+from rxdid import glm_engine
 from rxdid.glm_engine import (
     BINOMIAL_LOGIT,
     GAMMA_LOG,
@@ -15,6 +17,7 @@ from rxdid.glm_engine import (
     RankDeficient,
     SeparationSuspected,
     TooFewClusters,
+    WaldResult,
     build_design,
     cluster_robust_cov,
     confidence_interval,
@@ -241,7 +244,7 @@ def test_qr_fallback_matches_cholesky(monkeypatch, family):
         calls.append(1)
         raise np.linalg.LinAlgError("forced")
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", not_positive_definite)
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
     qr = fit_arrays(res.X, res.y, family, cluster_ids=cid)
     assert len(calls) == qr.n_iterations + 1  # every IRLS step and the final factor
     assert qr.n_iterations == res.n_iterations
@@ -298,7 +301,7 @@ def test_confidence_interval_z_critical():
     assert hi == pytest.approx(1.5 + zc * 0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("df", [1, 2, 3, 7])
+@pytest.mark.parametrize("df", range(1, 11))
 def test_wald_p_value_matches_chi2_sf(df):
     for W in [0.0, 1e-12, 0.05, 0.5, 1.0, 3.84, 10.0, 40.0, 200.0]:
         res = _canned_fit([np.sqrt(W / df)] * df, np.eye(df))
@@ -315,6 +318,29 @@ def test_wald_tiny_negative_statistic_has_p_one():
     assert w.p_value == 1.0
 
 
+def test_wald_leaves_out_zero_variance_coefficients():
+    res = _canned_fit([1.0, 2.0], [[0.0, 0.0], [0.0, 4.0]])
+    assert wald_test(res, [0, 1]) == wald_test(res, [1])
+    assert wald_test(res, [1]).df == 1 and wald_test(res, [1]).statistic == 1.0
+    assert wald_test(res, [0]) == WaldResult(0.0, 0, 1.0)
+
+
+def test_exact_null_fit_has_zero_robust_variance():
+    # Every cluster holds the same outcomes before and after, so each
+    # cluster's scores cancel along post and exposed:post; rounding leaves
+    # those sandwich variances at either sign unless they are zeroed.
+    exposed = np.repeat([1.0, 0.0, 1.0, 0.0], 100)
+    post = np.repeat([0.0, 0.0, 1.0, 1.0], 100)
+    y = np.tile((np.arange(100) < 25).astype(float), 4)
+    cid = np.array([f"{e:.0f}-{j % 10}" for e, j in zip(exposed, np.tile(np.arange(100), 4))])
+    X = np.column_stack([np.ones(400), exposed, post, exposed * post])
+    res = fit_arrays(X, y, BINOMIAL_LOGIT, names=["intercept", "exposed", "post", "exposed:post"],
+                     cluster_ids=cid)
+    assert res.robust_cov[3, 3] == 0.0 and not res.robust_cov[3].any()
+    assert res.robust_cov[1, 1] > 0.0
+    assert wald_test(res, ["exposed:post"]) == WaldResult(0.0, 0, 1.0)
+
+
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
 def test_confidence_interval_matches_norm_ppf(level):
     res = _canned_fit([0.3], [[4.0]])  # se = 2
@@ -324,16 +350,88 @@ def test_confidence_interval_matches_norm_ppf(level):
     assert hi == pytest.approx(0.3 + 2.0 * zc, rel=1e-12)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of every cold start
+SIM_REPLICATE_MODULES = ("rxdid.synthgen", "rxdid.prescriber_profile",
+                         "rxdid.cohort_builder", "rxdid.measures", "rxdid.study_analysis")
+
+
+def test_imports_load_no_scipy():
+    # scipy costs about 0.3 s and 30 MiB of every cold start
     import rxdid
     src = os.path.dirname(os.path.dirname(rxdid.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, rxdid.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    for modules in (("rxdid.cli",), SIM_REPLICATE_MODULES):
+        code = (f"import sys, {', '.join(modules)}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]", modules
+
+
+# -- rank check against LAPACK's pivoted QR ---------------------------------
+
+def _scipy_dependent_columns(X):
+    R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag.size == 0 or diag[0] == 0.0:
+        return list(range(X.shape[1]))
+    tol = diag[0] * max(X.shape) * np.finfo(float).eps
+    return sorted([int(piv[i]) for i in range(len(diag)) if diag[i] <= tol]
+                  + [int(i) for i in piv[len(diag):]])
+
+
+@st.composite
+def _designs(draw):
+    """An intercept, procedure dummies (with or without a reference level),
+    binary and continuous covariates, zero columns and copies of columns,
+    in shuffled order; and whether the columns before the zeros and
+    copies have full rank with a reference level left out."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    levels = draw(st.integers(2, 6))
+    all_levels = draw(st.booleans())
+    procedure = rng.integers(0, levels, n)
+    cols = [np.ones(n)] + [(procedure == j).astype(float)
+                           for j in range(0 if all_levels else 1, levels)]
+    cols += [(rng.random(n) < 0.3).astype(float) for _ in range(draw(st.integers(0, 3)))]
+    cols += [rng.normal(size=n) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+             for _ in range(draw(st.integers(0, 3)))]
+    base = np.column_stack(cols)
+    tie_free = not all_levels and np.linalg.matrix_rank(base) == base.shape[1]
+    cols += [np.zeros(n)] * draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())
+    order = draw(st.permutations(range(len(cols))))
+    return np.column_stack([cols[i] for i in order]), tie_free
+
+
+@settings(max_examples=300, deadline=None)
+@given(_designs())
+def test_dependent_columns_match_scipy_pivoted_qr(design):
+    X, tie_free = design
+    ours = glm_engine._dependent_columns(X)
+    theirs = _scipy_dependent_columns(X)
+    # Both keep a full-rank set spanning X's columns.
+    kept = np.delete(X, ours, axis=1)
+    assert len(ours) == len(theirs)
+    assert np.linalg.matrix_rank(kept) == kept.shape[1] == np.linalg.matrix_rank(X)
+    if tie_free:
+        # Only zero columns and copies are dependent. Two copies tie, and
+        # LAPACK breaks that tie by its own rounding, so the two agree on
+        # which columns are dropped up to which copy of a column goes.
+        assert (sorted(X[:, i].tobytes() for i in ours)
+                == sorted(X[:, i].tobytes() for i in theirs))
+
+
+def test_tied_dependent_columns_drop_the_later_column():
+    # Five procedures with 11, 7, 7, 8 and 8 cases sum to the intercept.
+    # After the intercept and procedure 0, procedures 3 and 4 tie, then
+    # 1 and 2: each tie keeps the earlier column, so procedure 2 is
+    # dropped. LAPACK's pivoted QR of X breaks such ties by its rounding.
+    procedure = np.repeat(np.arange(5), [11, 7, 7, 8, 8])
+    X = np.column_stack([np.ones(41)] + [(procedure == j).astype(float) for j in range(5)])
+    assert glm_engine._dependent_columns(X) == [3]
+    assert glm_engine._dependent_columns(X[:, [0, 1, 3, 2, 4, 5]]) == [3]
 
 
 def test_marginal_effect_two_group_closed_form():

@@ -1,5 +1,6 @@
 """No rxdid module imports another module's private (underscore) names;
-dunders such as ``__version__`` are public."""
+dunders such as ``__version__`` are public. No rxdid module imports scipy,
+which only the tests use."""
 import ast
 import pathlib
 
@@ -23,3 +24,23 @@ def test_no_module_imports_a_private_name_from_another():
     files = sorted(SRC.glob("*.py"))
     assert files
     assert [hit for path in files for hit in _private_imports(path)] == []
+
+
+def _scipy_imports(path: pathlib.Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} imports {m}"
+                  for m in modules if m.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_module_imports_scipy():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [hit for path in files for hit in _scipy_imports(path)] == []

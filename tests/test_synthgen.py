@@ -17,6 +17,7 @@ from rxdid.prescriber_profile import (
 from rxdid.study_analysis import build_analysis_table
 from rxdid.synthgen import (
     ANTIDEPRESSANT_CODES,
+    DEFAULT_PROCEDURE_WEIGHTS,
     GroundTruth,
     InvalidConfig,
     RunMismatch,
@@ -71,6 +72,10 @@ def test_ground_truth_round_trip(tmp_path):
     {"n_providers": 0},
     {"share_concentration": 0.0},
     {"initial_mme_mean": -1.0},
+    {"initial_mme_mean": float("inf")},
+    {"effect_refill": float("nan")},
+    {"procedure_weights": dict.fromkeys(DEFAULT_PROCEDURE_WEIGHTS, 0.0)},
+    {"procedure_weights": {"knee_arthroscopy": 2.0, "breast_excision": -1.0}},
 ])
 def test_invalid_config(overrides):
     with pytest.raises(InvalidConfig):
