@@ -16,14 +16,6 @@ ABS_DEVIANCE_TOL = 1e-12
 # overflowing; constant responses are rejected up front.
 MU_EPS = 1e-10
 CI_LEVEL = 0.95
-# The 95% two-sided normal critical value, within an ulp of the exact
-# quantile. NormalDist().inv_cdf(0.975) is two ulps lower; this value keeps
-# every 95% interval bit-identical to earlier releases.
-Z_975 = 1.959963984540054
-# Two remaining column norms tie when they differ by less than this fraction
-# of the larger; the pivot is the leftmost tied column, as LAPACK's geqp3
-# picks on an exact tie.
-PIVOT_TIE_RTOL = 1e-10
 
 
 class GlmError(Exception):
@@ -226,11 +218,8 @@ def _dependent_columns(X: np.ndarray) -> list[int]:
     X = QR, so R has X's column norms and inner products, and a pivoted QR
     of the small R chooses the pivots a pivoted QR of X would, for the cost
     of one unpivoted LAPACK QR. Each step pivots on the column of largest
-    remaining norm, the leftmost on a tie. Of two tied columns (two equal
-    columns, or the last two of a set of dummies that sum to the intercept)
-    the later one is therefore dropped, whatever the rounding. A pivot at or
-    below diag[0] * max(X.shape) * eps, and any column past min(X.shape),
-    is dependent.
+    remaining norm. A pivot at or below diag[0] * max(X.shape) * eps, and
+    any column past min(X.shape), is dependent.
     """
     p = X.shape[1]
     if p == 0:
@@ -241,7 +230,7 @@ def _dependent_columns(X: np.ndarray) -> list[int]:
     diag = np.zeros(k)
     for i in range(k):
         norms = np.linalg.norm(A[i:, i:], axis=0)
-        j = int(np.argmax(norms >= norms.max() * (1.0 - PIVOT_TIE_RTOL)))
+        j = int(np.argmax(norms))
         diag[i] = norms[j]
         j += i
         A[:, [i, j]] = A[:, [j, i]]
@@ -456,9 +445,10 @@ class WaldResult:
 def wald_test(fit_result: FitResult, indices: list[int] | list[str]) -> WaldResult:
     """Joint chi-square test that the selected coefficients are zero (robust covariance).
 
-    A coefficient whose robust variance is zero gives the test nothing to
-    scale it by: it is left out, with its degree of freedom, and a test
-    left with none has W = 0 and p = 1.
+    On an exact-null fit a coefficient can have both its estimate and its
+    robust variance at zero: it is left out, with its degree of freedom, and
+    a test left with none has W = 0 and p = 1. A zero variance under a
+    nonzero estimate leaves the test singular.
     """
     idx = [
         fit_result.names.index(i) if isinstance(i, str) else int(i)
@@ -467,8 +457,11 @@ def wald_test(fit_result: FitResult, indices: list[int] | list[str]) -> WaldResu
     cov = fit_result.robust_cov
     if cov is None:
         raise GlmError("no robust covariance on this fit")
-    idx = [i for i in idx if cov[i, i] != 0.0]
-    b = fit_result.coefficients[idx]
+    coefs = fit_result.coefficients
+    rounding = (max(fit_result.n_obs, len(coefs)) * np.finfo(float).eps
+                * max(1.0, float(np.abs(coefs).max())))
+    idx = [i for i in idx if cov[i, i] != 0.0 or abs(coefs[i]) > rounding]
+    b = coefs[idx]
     V = cov[np.ix_(idx, idx)]
     try:
         sol = np.linalg.solve(V, b)
@@ -506,13 +499,6 @@ def _chi2_sf(x: float, df: int) -> float:
     return math.erfc(math.sqrt(x / 2.0)) + total
 
 
-def _z_critical(level: float) -> float:
-    """The two-sided normal critical value of a level confidence interval."""
-    if level == CI_LEVEL:
-        return Z_975
-    return NormalDist().inv_cdf(0.5 + level / 2.0)
-
-
 @dataclass(frozen=True)
 class MarginalEffect:
     effect: float
@@ -545,7 +531,7 @@ def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     cov = fit_result.robust_cov if fit_result.robust_cov is not None else fit_result.model_cov
     var = float(grad @ cov @ grad)
     se = float(np.sqrt(max(var, 0.0)))
-    zcrit = _z_critical(CI_LEVEL)
+    zcrit = NormalDist().inv_cdf(0.5 + CI_LEVEL / 2.0)
     return MarginalEffect(effect, se, effect - zcrit * se, effect + zcrit * se)
 
 
@@ -554,5 +540,5 @@ def confidence_interval(
 ) -> tuple[float, float]:
     b = fit_result.coef(name)
     se = fit_result.robust_se(name)
-    zcrit = _z_critical(level)
+    zcrit = NormalDist().inv_cdf(0.5 + level / 2.0)
     return b - zcrit * se, b + zcrit * se

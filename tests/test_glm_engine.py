@@ -16,6 +16,7 @@ from rxdid.glm_engine import (
     FitResult,
     RankDeficient,
     SeparationSuspected,
+    SingularSubmatrix,
     TooFewClusters,
     WaldResult,
     build_design,
@@ -319,10 +320,16 @@ def test_wald_tiny_negative_statistic_has_p_one():
 
 
 def test_wald_leaves_out_zero_variance_coefficients():
-    res = _canned_fit([1.0, 2.0], [[0.0, 0.0], [0.0, 4.0]])
+    # an exact-null coefficient: estimate and variance both at zero
+    res = _canned_fit([1e-16, 2.0], [[0.0, 0.0], [0.0, 4.0]])
     assert wald_test(res, [0, 1]) == wald_test(res, [1])
     assert wald_test(res, [1]).df == 1 and wald_test(res, [1]).statistic == 1.0
     assert wald_test(res, [0]) == WaldResult(0.0, 0, 1.0)
+    # a zero variance under a nonzero estimate leaves nothing to scale it by
+    res = _canned_fit([1.0, 2.0], [[0.0, 0.0], [0.0, 4.0]])
+    for idx in ([0], [0, 1]):
+        with pytest.raises(SingularSubmatrix):
+            wald_test(res, idx)
 
 
 def test_exact_null_fit_has_zero_robust_variance():
@@ -421,17 +428,6 @@ def test_dependent_columns_match_scipy_pivoted_qr(design):
         # which columns are dropped up to which copy of a column goes.
         assert (sorted(X[:, i].tobytes() for i in ours)
                 == sorted(X[:, i].tobytes() for i in theirs))
-
-
-def test_tied_dependent_columns_drop_the_later_column():
-    # Five procedures with 11, 7, 7, 8 and 8 cases sum to the intercept.
-    # After the intercept and procedure 0, procedures 3 and 4 tie, then
-    # 1 and 2: each tie keeps the earlier column, so procedure 2 is
-    # dropped. LAPACK's pivoted QR of X breaks such ties by its rounding.
-    procedure = np.repeat(np.arange(5), [11, 7, 7, 8, 8])
-    X = np.column_stack([np.ones(41)] + [(procedure == j).astype(float) for j in range(5)])
-    assert glm_engine._dependent_columns(X) == [3]
-    assert glm_engine._dependent_columns(X[:, [0, 1, 3, 2, 4, 5]]) == [3]
 
 
 def test_marginal_effect_two_group_closed_form():
