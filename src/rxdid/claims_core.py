@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -207,6 +208,15 @@ def index_anchor_dates(claim: MedicalClaim) -> tuple[date, date]:
     return early, late
 
 
+_SPAN_ORDER = operator.attrgetter("start", "end")
+_CLAIM_ORDER = operator.attrgetter("service_date", "claim_id")
+
+
+def _fill_order(c: PharmacyClaim) -> tuple:
+    # A missing days_supply sorts before every count, and is never compared with one.
+    return (c.fill_date, c.drug_code, c.quantity, c.days_supply is not None, c.days_supply or 0)
+
+
 def merge_enrollment_spans(spans: list[EnrollmentSpan]) -> list[EnrollmentSpan]:
     """Merge overlapping or abutting (gap 0) spans for a single person.
 
@@ -214,7 +224,7 @@ def merge_enrollment_spans(spans: list[EnrollmentSpan]) -> list[EnrollmentSpan]:
     """
     if not spans:
         return []
-    ordered = sorted(spans, key=lambda s: (s.start, s.end))
+    ordered = sorted(spans, key=_SPAN_ORDER)
     merged = [ordered[0]]
     for span in ordered[1:]:
         last = merged[-1]
@@ -551,23 +561,28 @@ def store_from_records(
 ) -> ClaimsStore:
     """The normalized store of parsed or generated records.
 
-    Spans are merged, claims grouped by person and sorted canonically,
-    and ``parsed_counts`` holds each list's length.
+    Spans are merged, claims grouped by person and sorted canonically
+    (fills by date, drug code, quantity and days supply; medical claims by
+    service date and claim id), so the store does not depend on the order
+    of the input lists. ``parsed_counts`` holds each list's length.
     """
     store = ClaimsStore(calendar=calendar)
-    raw: dict[str, list[EnrollmentSpan]] = {}
     for s in enrollment:
-        raw.setdefault(s.person_id, []).append(s)
-    for pid, spans in raw.items():
-        store.enrollment[pid] = merge_enrollment_spans(spans)
+        store.enrollment.setdefault(s.person_id, []).append(s)
     for c in pharmacy:
         store.pharmacy.setdefault(c.person_id, []).append(c)
     for c in medical:
         store.medical.setdefault(c.person_id, []).append(c)
+    # most people have one span and few claims: a list of one is already in order
+    for pid, spans in store.enrollment.items():
+        if len(spans) > 1:
+            store.enrollment[pid] = merge_enrollment_spans(spans)
     for fills in store.pharmacy.values():
-        fills.sort(key=lambda c: (c.fill_date, c.drug_code, c.quantity))
+        if len(fills) > 1:
+            fills.sort(key=_fill_order)
     for claims in store.medical.values():
-        claims.sort(key=lambda c: (c.service_date, c.claim_id))
+        if len(claims) > 1:
+            claims.sort(key=_CLAIM_ORDER)
     store.demographics = {d.person_id: d for d in persons}
     store.catalog = {e.drug_code: e for e in catalog}
     store.parsed_counts = {

@@ -160,6 +160,8 @@ class ComorbidityMap:
                 index.setdefault(p, set()).add(condition)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_prefix_lengths", sorted({len(p) for p in index}))
+        # conditions_for's answer per diagnosis code, filled on first ask
+        object.__setattr__(self, "_by_code", {})
 
     @classmethod
     def default(cls) -> "ComorbidityMap":
@@ -182,12 +184,15 @@ class ComorbidityMap:
 
     def conditions_for(self, dx: str) -> frozenset[str]:
         """All conditions whose prefix list matches this normalized code."""
-        matched: set[str] = set()
-        for ln in self._prefix_lengths:
-            if ln > len(dx):
-                break
-            matched |= self._index.get(dx[:ln], set())
-        return frozenset(matched)
+        found = self._by_code.get(dx)
+        if found is None:
+            matched: set[str] = set()
+            for ln in self._prefix_lengths:
+                if ln > len(dx):
+                    break
+                matched |= self._index.get(dx[:ln], set())
+            found = self._by_code[dx] = frozenset(matched)
+        return found
 
 
 def write_comorbidity_map_csv(path: str, cmap: ComorbidityMap | None = None) -> None:

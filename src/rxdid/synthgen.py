@@ -3,6 +3,7 @@ effects, plus the ground-truth verdict checker."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -127,14 +128,18 @@ class SimConfig:
                     if f.type == "float" and not math.isfinite(getattr(self, f.name))]
         for name in (
             "high_pref_fraction", "share_mean_high", "share_mean_low",
-            "group_practice_fraction", "refill_prob", "persistence_prob",
-            "enrollment_gap_rate", "prior_opioid_rate", "no_fill_rate",
-            "underage_rate", "sex_female_prob", "comorbidity_prev",
+            "group_practice_fraction", "enrollment_gap_rate", "prior_opioid_rate",
+            "no_fill_rate", "underage_rate", "sex_female_prob", "comorbidity_prev",
             "antidepressant_prev",
         ):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 problems.append(f"{name}={v} must be in [0, 1]")
+        for name in ("refill_prob", "persistence_prob"):
+            v = getattr(self, name)
+            if not (0.0 < v < 1.0):
+                # generate() takes their logits
+                problems.append(f"{name}={v} must be in (0, 1)")
         for name in ("effect_initial_mme", "effect_refill", "effect_persistence"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be > 0")
@@ -203,12 +208,11 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _inv_logit(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))
-
-
-def _bernoulli(rng: random.Random, p: float) -> bool:
-    return rng.random() < p
+# generate() looks dates up by day offset in a table that reaches this far
+# before the study's first day and after its last. Every generated date
+# lies well inside: enrollment starts at most 179 days before a service
+# day and ends at most 263 days after one.
+_MARGIN_DAYS = 366
 
 
 def generate(
@@ -217,25 +221,34 @@ def generate(
     calendar: StudyCalendar | None = None,
 ) -> tuple[ClaimsStore, GroundTruth]:
     """Generate synthetic claims; optionally write the five input CSVs
-    plus ground_truth.json under out_dir. Single-stream seeded."""
+    plus ground_truth.json under out_dir.
+
+    One ``random.Random(config.seed)`` makes every draw, through its public
+    methods only. The draws, their order and their count per provider,
+    quarter and person are part of the generated data, as much as the
+    records are: a change that adds, drops or reorders one draw re-draws
+    every later person, and with them the fixed-seed effect-recovery and
+    type-I studies of the acceptance suite. A Bernoulli trial is one
+    ``random()`` draw whatever its probability, so a rate of 0 or 1 still
+    consumes it.
+    """
     config.validate()
     calendar = calendar or StudyCalendar()
     rng = random.Random(config.seed)
-
-    proc_names = sorted(config.procedure_weights)
-    proc_weights = [config.procedure_weights[n] for n in proc_names]
+    rnd = rng.random
+    randrange, randint = rng.randrange, rng.randint
 
     providers = []
     strata: dict[str, str] = {}
     for i in range(config.n_providers):
         pid = f"dr{i:05d}"
-        high = _bernoulli(rng, config.high_pref_fraction)
+        high = rnd() < config.high_pref_fraction
         mean = config.share_mean_high if high else config.share_mean_low
         c = config.share_concentration
         pref = rng.betavariate(mean * c, (1.0 - mean) * c)
         ptype = (
             ProviderType.GROUP_PRACTICE
-            if _bernoulli(rng, config.group_practice_fraction)
+            if rnd() < config.group_practice_fraction
             else ProviderType.INDIVIDUAL
         )
         providers.append((pid, ptype, high, pref))
@@ -246,7 +259,12 @@ def generate(
     medical: list[MedicalClaim] = []
     persons: list[PersonDemographics] = []
 
+    # Days are integer offsets; dates[d] is the date of day d, and day
+    # _MARGIN_DAYS is pre_start.
     total_days = days_between(calendar.pre_start, calendar.post_end) + 1
+    origin = calendar.pre_start - timedelta(days=_MARGIN_DAYS)
+    dates = [origin + timedelta(days=d) for d in range(total_days + 2 * _MARGIN_DAYS)]
+    post_day = _MARGIN_DAYS + days_between(calendar.pre_start, calendar.post_start)
     n_quarters = (total_days + 90) // 91
     person_counter = 0
     claim_counter = 0
@@ -254,130 +272,127 @@ def generate(
     whole = int(config.patients_per_provider_quarter)
     frac = config.patients_per_provider_quarter - whole
 
+    proc_names = sorted(config.procedure_weights)
+    procedures = [(PROCEDURE_CPT[n], INPATIENT_PROB.get(n, 0.1)) for n in proc_names]
+    proc_cum_weights = list(itertools.accumulate(
+        config.procedure_weights[n] for n in proc_names
+    ))
+    first_dx_codes = [codes[0] for codes in DEFAULT_COMORBIDITY_MAP.values()]
+    mme_per_unit = {e.drug_code: e.strength_mg_per_unit * e.mme_factor for e in FORMULARY}
+
+    # Link-scale terms: (initial MME, refill, persistence) base values, the
+    # yearly trends of each stratum, and the injected effects.
+    log_mme_mean = math.log(config.initial_mme_mean)
+    refill_logit = _logit(config.refill_prob)
+    persistence_logit = _logit(config.persistence_prob)
+    trends = {
+        high: tuple(getattr(config, f"trend_{outcome}_{suffix}")
+                    for outcome in ("initial_mme", "refill", "persistence"))
+        for high, suffix in ((True, "exposed"), (False, "unexposed"))
+    }
+    injected = (math.log(config.effect_initial_mme), math.log(config.effect_refill),
+                math.log(config.effect_persistence))
+    not_injected = (0.0, 0.0, 0.0)
+    comorbidity_prev = config.comorbidity_prev   # read 20 times per person
+
     for pid, ptype, high, pref in providers:
+        trend_mme, trend_refill, trend_persistence = trends[high]
         for q in range(n_quarters):
-            q_start = calendar.pre_start + timedelta(days=q * 91)
+            q_start = _MARGIN_DAYS + q * 91
             q_days = min(91, total_days - q * 91)
-            n_patients = whole + (1 if _bernoulli(rng, frac) else 0)
+            n_patients = whole + (1 if rnd() < frac else 0)
             for _ in range(n_patients):
                 person_counter += 1
                 person_id = f"p{person_counter:07d}"
-                service = q_start + timedelta(days=rng.randrange(q_days))
+                service = q_start + randrange(q_days)
 
-                procedure = rng.choices(proc_names, weights=proc_weights)[0]
-                inpatient = _bernoulli(rng, INPATIENT_PROB.get(procedure, 0.1))
-                if inpatient:
-                    los = rng.randint(1, 4)
-                    admission = service
-                    discharge = service + timedelta(days=los)
+                cpt, inpatient_prob = rng.choices(procedures, cum_weights=proc_cum_weights)[0]
+                if rnd() < inpatient_prob:
+                    late = service + randint(1, 4)
+                    admission, discharge = dates[service], dates[late]
                     setting = Setting.INPATIENT
                 else:
+                    late = service
                     admission = discharge = None
                     setting = Setting.AMBULATORY
-                late = discharge or service
-                early = admission or service
 
-                if _bernoulli(rng, config.underage_rate):
-                    age = rng.randint(10, 17)
-                else:
-                    age = rng.randint(18, 85)
-                sex = Sex.FEMALE if _bernoulli(rng, config.sex_female_prob) else Sex.MALE
-                persons.append(PersonDemographics(person_id, late.year - age, sex))
+                age = randint(10, 17) if rnd() < config.underage_rate else randint(18, 85)
+                sex = Sex.FEMALE if rnd() < config.sex_female_prob else Sex.MALE
+                persons.append(PersonDemographics(person_id, dates[late].year - age, sex))
 
                 # Enrollment; a configured fraction gets a disqualifying gap.
-                start = early - timedelta(days=120 + rng.randrange(60))
-                end = late + timedelta(days=200 + rng.randrange(60))
-                if _bernoulli(rng, config.enrollment_gap_rate):
-                    if _bernoulli(rng, 0.5):
-                        start = early - timedelta(days=rng.randrange(30, 80))
+                start = service - 120 - randrange(60)
+                end = late + 200 + randrange(60)
+                if rnd() < config.enrollment_gap_rate:
+                    if rnd() < 0.5:
+                        start = service - randrange(30, 80)
                     else:
-                        end = late + timedelta(days=rng.randrange(30, 170))
-                spans.append(EnrollmentSpan(person_id, start, end))
+                        end = late + randrange(30, 170)
+                spans.append(EnrollmentSpan(person_id, dates[start], dates[end]))
 
                 claim_counter += 1
                 medical.append(MedicalClaim(
-                    f"c{claim_counter:08d}", person_id, pid, ptype,
-                    PROCEDURE_CPT[procedure], service, admission, discharge,
-                    setting, (),
+                    f"c{claim_counter:08d}", person_id, pid, ptype, cpt,
+                    dates[service], admission, discharge, setting, (),
                 ))
 
                 # Prior comorbidity diagnoses on an office-visit claim.
-                dx = [
-                    codes[0]
-                    for codes in DEFAULT_COMORBIDITY_MAP.values()
-                    if _bernoulli(rng, config.comorbidity_prev)
-                ]
+                dx = [code for code in first_dx_codes if rnd() < comorbidity_prev]
                 for chunk_start in range(0, len(dx), 10):
                     claim_counter += 1
                     medical.append(MedicalClaim(
                         f"c{claim_counter:08d}", person_id, pid, ptype,
-                        OFFICE_VISIT_CPT, early - timedelta(days=60),
+                        OFFICE_VISIT_CPT, dates[service - 60],
                         None, None, Setting.AMBULATORY,
                         tuple(dx[chunk_start:chunk_start + 10]),
                     ))
 
-                if _bernoulli(rng, config.antidepressant_prev):
+                if rnd() < config.antidepressant_prev:
                     pharmacy.append(PharmacyClaim(
-                        person_id, early - timedelta(days=30), "AD001", 30.0, 30
+                        person_id, dates[service - 30], "AD001", 30.0, 30
                     ))
-                if _bernoulli(rng, config.prior_opioid_rate):
+                if rnd() < config.prior_opioid_rate:
                     pharmacy.append(PharmacyClaim(
-                        person_id, early - timedelta(days=rng.randint(10, 80)),
-                        "HYD5", 10.0, 5,
+                        person_id, dates[service - randint(10, 80)], "HYD5", 10.0, 5,
                     ))
 
-                if _bernoulli(rng, config.no_fill_rate):
+                if rnd() < config.no_fill_rate:
                     continue
 
-                exposed_post = high and late >= calendar.post_start
-                years = days_between(calendar.pre_start, late) / 365.25
-                trend_suffix = "exposed" if high else "unexposed"
+                years = (late - _MARGIN_DAYS) / 365.25
+                effect_mme, effect_refill, effect_persistence = (
+                    injected if high and late >= post_day else not_injected
+                )
 
                 # Initial fill: drug per provider preference, quantity
                 # targeting a gamma-distributed MME draw.
-                log_mean = (
-                    math.log(config.initial_mme_mean)
-                    + getattr(config, f"trend_initial_mme_{trend_suffix}") * years
-                    + (math.log(config.effect_initial_mme) if exposed_post else 0.0)
-                )
+                log_mean = log_mme_mean + trend_mme * years + effect_mme
                 target = rng.gammavariate(
                     config.initial_mme_shape,
                     math.exp(log_mean) / config.initial_mme_shape,
                 )
-                if _bernoulli(rng, pref):
-                    drug = "HYD5" if _bernoulli(rng, 0.6) else "HYD10"
+                if rnd() < pref:
+                    drug = "HYD5" if rnd() < 0.6 else "HYD10"
                 else:
-                    drug = NON_HYDRO_CODES[rng.randrange(len(NON_HYDRO_CODES))]
-                entry = next(e for e in FORMULARY if e.drug_code == drug)
-                per_unit = entry.strength_mg_per_unit * entry.mme_factor
-                quantity = max(1, round(target / per_unit))
-                fill_offset = rng.randint(0, 4)
+                    drug = NON_HYDRO_CODES[randrange(len(NON_HYDRO_CODES))]
+                quantity = max(1, round(target / mme_per_unit[drug]))
+                fill_offset = randint(0, 4)
                 pharmacy.append(PharmacyClaim(
-                    person_id, late + timedelta(days=fill_offset),
-                    drug, float(quantity), 5,
+                    person_id, dates[late + fill_offset], drug, float(quantity), 5,
                 ))
+                later_quantity = float(max(1, quantity // 2))
 
-                refill_logit = (
-                    _logit(config.refill_prob)
-                    + getattr(config, f"trend_refill_{trend_suffix}") * years
-                    + (math.log(config.effect_refill) if exposed_post else 0.0)
-                )
-                if _bernoulli(rng, _inv_logit(refill_logit)):
-                    day = rng.randint(fill_offset + 1, 30)
+                logit = refill_logit + trend_refill * years + effect_refill
+                if rnd() < 1.0 / (1.0 + math.exp(-logit)):
                     pharmacy.append(PharmacyClaim(
-                        person_id, late + timedelta(days=day), drug,
-                        float(max(1, quantity // 2)), 5,
+                        person_id, dates[late + randint(fill_offset + 1, 30)], drug,
+                        later_quantity, 5,
                     ))
 
-                persistence_logit = (
-                    _logit(config.persistence_prob)
-                    + getattr(config, f"trend_persistence_{trend_suffix}") * years
-                    + (math.log(config.effect_persistence) if exposed_post else 0.0)
-                )
-                if _bernoulli(rng, _inv_logit(persistence_logit)):
+                logit = persistence_logit + trend_persistence * years + effect_persistence
+                if rnd() < 1.0 / (1.0 + math.exp(-logit)):
                     pharmacy.append(PharmacyClaim(
-                        person_id, late + timedelta(days=rng.randint(90, 180)),
-                        drug, float(max(1, quantity // 2)), 5,
+                        person_id, dates[late + randint(90, 180)], drug, later_quantity, 5,
                     ))
 
     store = store_from_records(

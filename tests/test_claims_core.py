@@ -1,5 +1,6 @@
 import csv
 import os
+import tempfile
 from datetime import date, timedelta
 
 import pytest
@@ -11,10 +12,12 @@ from rxdid.claims_core import (
     MedicalClaim,
     MissingCatalogEntry,
     OpioidIngredient,
+    PersonDemographics,
     PharmacyClaim,
     ProviderType,
     RejectedRow,
     Setting,
+    Sex,
     StudyCalendar,
     CalendarMisconfigured,
     UnknownColumn,
@@ -114,6 +117,45 @@ def test_merge_idempotent_and_order_independent(spans, rnd):
     # merged spans are non-overlapping and separated by >= 1 day gaps
     for a, b in zip(merged, merged[1:]):
         assert days_between(a.end, b.start) >= 2
+
+
+PEOPLE = ["p1", "p2", "p3"]
+FEW_DAYS = st.sampled_from([date(2013, 1, 1), date(2013, 1, 2)])
+
+
+@st.composite
+def record_lists(draw):
+    """Records that tie often: few people, days, codes and quantities; fills
+    that differ only in days_supply; claims that differ only in claim_id."""
+    spans = [EnrollmentSpan(p, a, a + timedelta(days=n))
+             for p, a, n in draw(st.lists(st.tuples(
+                 st.sampled_from(PEOPLE), FEW_DAYS, st.integers(0, 3)), max_size=8))]
+    fills = [PharmacyClaim(p, d, code, q, supply)
+             for p, d, code, q, supply in draw(st.lists(st.tuples(
+                 st.sampled_from(PEOPLE), FEW_DAYS, st.sampled_from(["HYD5", "OXY5"]),
+                 st.sampled_from([10.0, 20.0]), st.sampled_from([None, 0, 5, 7])),
+                 max_size=12))]
+    claims = [MedicalClaim(f"c{i:03d}", p, "dr1", ProviderType.INDIVIDUAL, "47562", d,
+                           None, None, Setting.AMBULATORY, ())
+              for i, (p, d) in enumerate(draw(st.lists(st.tuples(
+                  st.sampled_from(PEOPLE), FEW_DAYS), max_size=8)))]
+    persons = [PersonDemographics(p, 1960, Sex.FEMALE) for p in PEOPLE]
+    catalog = [DrugCatalogEntry("HYD5", OpioidIngredient.HYDROCODONE, True, 5.0, 1.0),
+               DrugCatalogEntry("OXY5", OpioidIngredient.OXYCODONE, True, 5.0, 1.5)]
+    return [spans, fills, claims, persons, catalog]
+
+
+def _written(records, out_dir) -> dict[str, bytes]:
+    write_store(store_from_records(StudyCalendar(), *records), out_dir)
+    return {name: open(os.path.join(out_dir, name), "rb").read()
+            for name in sorted(os.listdir(out_dir))}
+
+
+@given(record_lists(), st.randoms())
+def test_written_store_does_not_depend_on_input_order(records, rnd):
+    shuffled = [rnd.sample(listed, len(listed)) for listed in records]
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        assert _written(shuffled, b) == _written(records, a)
 
 
 def _write(path, header, rows):

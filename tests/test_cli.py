@@ -175,6 +175,8 @@ def test_unparsable_thresholds_are_one_line_validation_error(tmp_path, sim_file,
     ("proc_weight_knee_arthroscopy = x", "proc_weight_knee_arthroscopy"),
     ("initial_mme_mean = inf", "initial_mme_mean"),
     ("effect_refill = nan", "effect_refill"),
+    ("refill_prob = 0", "refill_prob"),
+    ("persistence_prob = 1", "persistence_prob"),
 ])
 def test_bad_sim_config_value_is_one_line_validation_error(tmp_path, capsys, line, named):
     cfg = tmp_path / "bad.cfg"

@@ -182,6 +182,30 @@ def test_map_csv_round_trip(tmp_path):
     assert loaded.conditions == ComorbidityMap.default().conditions
 
 
+def test_memoized_conditions_equal_the_prefix_walk(tmp_path):
+    # Short prefixes that overlap across conditions, so one code matches several.
+    conditions = dict(ComorbidityMap.default().conditions)
+    conditions["congestive_heart_failure"] += ("4",)
+    conditions["depression"] += ("40", "V42")
+    conditions["obesity"] += ("4011",)
+    path = str(tmp_path / "cmap.csv")
+    write_comorbidity_map_csv(path, ComorbidityMap(conditions))
+    cmap = ComorbidityMap.from_file(path)
+    prefixes = {p for ps in conditions.values() for p in ps}
+    codes = sorted({"", "9", "82021"} | prefixes | {p + "9" for p in prefixes}
+                   | {p[:-1] for p in prefixes})
+
+    def walk(dx):
+        return frozenset(c for c, ps in cmap.conditions.items()
+                         if any(dx.startswith(p) for p in ps))
+
+    first = [cmap.conditions_for(dx) for dx in codes]
+    again = [cmap.conditions_for(dx) for dx in reversed(codes)][::-1]
+    assert first == again == [walk(dx) for dx in codes]
+    assert {"congestive_heart_failure", "depression", "obesity",
+            "hypertension_uncomplicated"} <= cmap.conditions_for("40119")
+
+
 def test_antidepressant_csv_round_trip(tmp_path):
     path = str(tmp_path / "ad.csv")
     write_antidepressants_csv(path, {"AD001", "AD777"})

@@ -76,6 +76,8 @@ def test_ground_truth_round_trip(tmp_path):
     {"effect_refill": float("nan")},
     {"procedure_weights": dict.fromkeys(DEFAULT_PROCEDURE_WEIGHTS, 0.0)},
     {"procedure_weights": {"knee_arthroscopy": 2.0, "breast_excision": -1.0}},
+    {"refill_prob": 0.0},
+    {"persistence_prob": 1.0},
 ])
 def test_invalid_config(overrides):
     with pytest.raises(InvalidConfig):
