@@ -2,7 +2,7 @@
 the one reader and writer of each file format the pipeline uses.
 
 All dates are ``datetime.date``; every window rule downstream works in
-calendar days via :func:`days_between`.
+whole calendar days, as :func:`days_between` counts them.
 """
 from __future__ import annotations
 
@@ -142,14 +142,14 @@ class StudyCalendar:
         return cls(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnrollmentSpan:
     person_id: str
     start: date
     end: date
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PharmacyClaim:
     person_id: str
     fill_date: date
@@ -158,7 +158,7 @@ class PharmacyClaim:
     days_supply: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MedicalClaim:
     claim_id: str
     person_id: str
@@ -172,14 +172,14 @@ class MedicalClaim:
     diagnoses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PersonDemographics:
     person_id: str
     birth_year: int
     sex: Sex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DrugCatalogEntry:
     drug_code: str
     opioid_ingredient: OpioidIngredient
@@ -279,11 +279,15 @@ def opioid_fills_in_window(
 
     Exposure, the opioid-naive check and the outcomes all use this one
     rule. An uncatalogued fill in the window raises MissingCatalogEntry.
+    The scan stops at the first fill past ``hi``: store_from_records keeps
+    each person's fills in date order, so no later fill is in the window.
     """
     out = []
     for fill in store.pharmacy.get(person_id, ()):
-        offset = days_between(anchor, fill.fill_date)
-        if not (lo <= offset <= hi):
+        offset = (fill.fill_date - anchor).days
+        if offset > hi:
+            break
+        if offset < lo:
             continue
         entry = store.catalog.get(fill.drug_code)
         if entry is None:

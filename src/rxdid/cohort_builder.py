@@ -8,6 +8,7 @@ from datetime import date, timedelta
 
 from .claims_core import (
     ClaimsStore,
+    EnrollmentSpan,
     MedicalClaim,
     Setting,
     Sex,
@@ -86,7 +87,7 @@ def los_category(claim: MedicalClaim) -> LosCategory:
     return LosCategory.THREE_PLUS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohortRow:
     """An included person; the index event carries the procedure, its
     claim (provider, setting) and anchors."""
@@ -100,9 +101,18 @@ class CohortRow:
     los_category: LosCategory
 
 
-def _span_covering(store: ClaimsStore, person_id: str, start: date, end: date) -> bool:
+_PRIOR_ENROLLMENT = timedelta(days=PRIOR_ENROLLMENT_DAYS)
+_FOLLOWUP_ENROLLMENT = timedelta(days=FOLLOWUP_ENROLLMENT_DAYS)
+# The provider classes that are included, and the exposure of each.
+_EXPOSURE_OF_CLASS = {
+    ProviderClass.PRESCRIBER: Exposure.EXPOSED,
+    ProviderClass.NON_PRESCRIBER: Exposure.UNEXPOSED,
+}
+
+
+def _span_covering(spans: list[EnrollmentSpan], start: date, end: date) -> bool:
     """One merged enrollment span must fully cover [start, end]."""
-    for span in store.enrollment.get(person_id, ()):
+    for span in spans:
         if span.start <= start and span.end >= end:
             return True
     return False
@@ -119,28 +129,25 @@ def _evaluate_person(
     if not eligible:
         return ExclusionReason.NO_ELIGIBLE_PROCEDURE
 
-    # Window membership over the union of pre and post windows.
-    in_window = []
+    # One walk in (late_anchor, claim_id) order. The first procedure in the
+    # pre or post window is the index one. Exact rebills (same provider +
+    # CPT) on its day collapse into it; any other eligible procedure on that
+    # day triggers the same-day exclusion.
+    claim = None
     saw_washout = False
-    for procedure in eligible:
-        period = assign_period(procedure[1], calendar)
-        if period in (Period.PRE, Period.POST):
-            in_window.append((procedure, period))
-        elif period is Period.WASHOUT:
-            saw_washout = True
-    if not in_window:
+    for early, late, name, other in eligible:
+        if claim is None:
+            period = assign_period(late, calendar)
+            if period is Period.PRE or period is Period.POST:
+                early_anchor, late_anchor, procedure_name, claim = early, late, name, other
+            elif period is Period.WASHOUT:
+                saw_washout = True
+        elif late != late_anchor:
+            break
+        elif other.provider_id != claim.provider_id or other.cpt_code != claim.cpt_code:
+            return ExclusionReason.MULTIPLE_SAME_DAY
+    if claim is None:
         return ExclusionReason.WASHOUT_PERIOD if saw_washout else ExclusionReason.OUTSIDE_STUDY_WINDOW
-
-    # First procedure by earliest late_anchor, then lowest claim_id. Exact
-    # rebills (same provider + CPT) on that day collapse into it; any other
-    # eligible procedure on that day triggers the same-day exclusion.
-    (early_anchor, late_anchor, procedure_name, claim), period = in_window[0]
-    if any(
-        late == late_anchor
-        and (other.provider_id, other.cpt_code) != (claim.provider_id, claim.cpt_code)
-        for (_, late, _, other), _ in in_window[1:]
-    ):
-        return ExclusionReason.MULTIPLE_SAME_DAY
 
     demo = store.demographics.get(person_id)
     if demo is None:
@@ -151,21 +158,14 @@ def _evaluate_person(
         return ExclusionReason.UNDER_AGE
 
     profile = profiles.get(claim.provider_id)
-    if profile is None or profile.provider_class not in (
-        ProviderClass.PRESCRIBER, ProviderClass.NON_PRESCRIBER
-    ):
+    exposure = None if profile is None else _EXPOSURE_OF_CLASS.get(profile.provider_class)
+    if exposure is None:
         return ExclusionReason.PROVIDER_UNCLASSIFIED
 
-    if not _span_covering(
-        store, person_id,
-        early_anchor - timedelta(days=PRIOR_ENROLLMENT_DAYS), early_anchor,
-    ):
+    spans = store.enrollment.get(person_id, ())
+    if not _span_covering(spans, early_anchor - _PRIOR_ENROLLMENT, early_anchor):
         return ExclusionReason.INSUFFICIENT_PRIOR_ENROLLMENT
-
-    if not _span_covering(
-        store, person_id,
-        late_anchor, late_anchor + timedelta(days=FOLLOWUP_ENROLLMENT_DAYS),
-    ):
+    if not _span_covering(spans, late_anchor, late_anchor + _FOLLOWUP_ENROLLMENT):
         return ExclusionReason.INSUFFICIENT_FOLLOWUP_ENROLLMENT
 
     event = index_event_for(store, early_anchor, late_anchor, procedure_name, claim)
@@ -176,20 +176,7 @@ def _evaluate_person(
     if opioid_fills_in_window(store, person_id, early_anchor, -NAIVE_LOOKBACK_DAYS, -1):
         return ExclusionReason.NOT_OPIOID_NAIVE
 
-    exposure = (
-        Exposure.EXPOSED
-        if profile.provider_class is ProviderClass.PRESCRIBER
-        else Exposure.UNEXPOSED
-    )
-    return CohortRow(
-        person_id=person_id,
-        exposure=exposure,
-        period=period,
-        index_event=event,
-        age_years=age,
-        sex=demo.sex,
-        los_category=los_category(claim),
-    )
+    return CohortRow(person_id, exposure, period, event, age, demo.sex, los_category(claim))
 
 
 def build_cohort(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import timedelta
 
 from .claims_core import (
     ClaimsError,
@@ -11,7 +12,6 @@ from .claims_core import (
     PharmacyClaim,
     ProviderType,
     Sex,
-    days_between,
     normalize_dx,
     opioid_fills_in_window,
     read_reference_csv,
@@ -42,7 +42,7 @@ class InvalidComorbidityMap(ClaimsError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeVector:
     persistent_use_90_180: bool
     initial_mme_7d: float
@@ -66,15 +66,18 @@ def compute_outcomes(row: CohortRow, store: ClaimsStore) -> OutcomeVector:
     event = row.index_event
     anchor = event.late_anchor
     first = event.first_opioid_fills
-    first_day = days_between(anchor, first[0].fill_date)
+    first_day = (first[0].fill_date - anchor).days
     initial_mme = sum(mme_of_fill(f, store.catalog[f.drug_code]) for f in first)
 
-    fills = opioid_fills_in_window(store, row.person_id, anchor, 0, PERSISTENCE_END)
-    window_30 = [t for t in fills if t[0] <= REFILL_WINDOW]
-    total_mme_30 = sum(mme_of_fill(f, e) for _, f, e in window_30)
-    any_refill = any(d > first_day for d, _, _ in window_30)
-
-    persistent = any(PERSISTENCE_START <= d <= PERSISTENCE_END for d, _, _ in fills)
+    # One pass in date order; the 30-day total adds its MMEs in stored order.
+    total_mme_30 = 0
+    any_refill = persistent = False
+    for d, f, e in opioid_fills_in_window(store, row.person_id, anchor, 0, PERSISTENCE_END):
+        if d <= REFILL_WINDOW:
+            total_mme_30 += mme_of_fill(f, e)
+            any_refill = any_refill or d > first_day
+        if d >= PERSISTENCE_START:
+            persistent = True
     return OutcomeVector(persistent, initial_mme, any_refill, total_mme_30)
 
 
@@ -162,6 +165,9 @@ class ComorbidityMap:
         object.__setattr__(self, "_prefix_lengths", sorted({len(p) for p in index}))
         # conditions_for's answer per diagnosis code, filled on first ask
         object.__setattr__(self, "_by_code", {})
+        # compute_covariates copies these zeros for each row
+        object.__setattr__(self, "_zero_covariates", dict.fromkeys(
+            [*_LEADING_COVARIATES, *self.conditions, "antidepressant_90d"], 0.0))
 
     @classmethod
     def default(cls) -> "ComorbidityMap":
@@ -219,12 +225,11 @@ PROCEDURE_ORDER = [
     "breast_excision",
 ]
 
-COVARIATE_COLUMNS = (
+_LEADING_COVARIATES = (
     ["age", "sex_female", "provider_group_practice", "los_1_2", "los_3plus"]
     + [f"proc_{name}" for name in PROCEDURE_ORDER]
-    + COMORBIDITY_ORDER
-    + ["antidepressant_90d"]
 )
+COVARIATE_COLUMNS = _LEADING_COVARIATES + COMORBIDITY_ORDER + ["antidepressant_90d"]
 
 
 ANTIDEPRESSANT_COLUMNS = ["drug_code"]
@@ -236,6 +241,11 @@ def read_antidepressants_csv(path: str) -> frozenset[str]:
 
 def write_antidepressants_csv(path: str, codes) -> None:
     write_csv(path, ANTIDEPRESSANT_COLUMNS, ([code] for code in sorted(codes)))
+
+
+_PROCEDURE_COLUMN = {name: f"proc_{name}" for name in PROCEDURE_ORDER}
+_COMORBIDITY_SPAN = timedelta(days=COMORBIDITY_LOOKBACK)
+_ANTIDEPRESSANT_SPAN = timedelta(days=ANTIDEPRESSANT_LOOKBACK)
 
 
 def compute_covariates(
@@ -254,36 +264,31 @@ def compute_covariates(
         raise MissingDemographics(row.person_id)
     event = row.index_event
     early = event.early_anchor
+    values = dict(
+        cmap._zero_covariates,
+        age=float(row.age_years),
+        sex_female=1.0 if row.sex is Sex.FEMALE else 0.0,
+        provider_group_practice=(
+            1.0 if event.claim.provider_type is ProviderType.GROUP_PRACTICE else 0.0),
+        los_1_2=1.0 if row.los_category is LosCategory.ONE_TO_TWO else 0.0,
+        los_3plus=1.0 if row.los_category is LosCategory.THREE_PLUS else 0.0,
+    )
+    column = _PROCEDURE_COLUMN.get(event.procedure_name)
+    if column is not None:
+        values[column] = 1.0
 
-    dx_codes: set[str] = set()
+    # day -1 is the last day before early
+    start = early - _COMORBIDITY_SPAN
     for claim in store.medical.get(row.person_id, ()):
-        offset = days_between(early, claim.service_date)
-        if -COMORBIDITY_LOOKBACK <= offset <= -1:
-            dx_codes.update(claim.diagnoses)
+        if start <= claim.service_date < early:
+            for dx in claim.diagnoses:
+                for condition in cmap.conditions_for(dx):
+                    values[condition] = 1.0
 
-    antidepressant = 0.0
     if antidepressant_codes:
+        start = early - _ANTIDEPRESSANT_SPAN
         for fill in store.pharmacy.get(row.person_id, ()):
-            offset = days_between(early, fill.fill_date)
-            if -ANTIDEPRESSANT_LOOKBACK <= offset <= -1 and fill.drug_code in antidepressant_codes:
-                antidepressant = 1.0
+            if start <= fill.fill_date < early and fill.drug_code in antidepressant_codes:
+                values["antidepressant_90d"] = 1.0
                 break
-
-    values: dict[str, float] = {
-        "age": float(row.age_years),
-        "sex_female": 1.0 if row.sex is Sex.FEMALE else 0.0,
-        "provider_group_practice": (
-            1.0 if event.claim.provider_type is ProviderType.GROUP_PRACTICE else 0.0
-        ),
-        "los_1_2": 1.0 if row.los_category is LosCategory.ONE_TO_TWO else 0.0,
-        "los_3plus": 1.0 if row.los_category is LosCategory.THREE_PLUS else 0.0,
-    }
-    for name in PROCEDURE_ORDER:
-        values[f"proc_{name}"] = 1.0 if event.procedure_name == name else 0.0
-    present: set[str] = set()
-    for dx in dx_codes:
-        present |= cmap.conditions_for(dx)
-    for condition in cmap.conditions:
-        values[condition] = 1.0 if condition in present else 0.0
-    values["antidepressant_90d"] = antidepressant
     return values

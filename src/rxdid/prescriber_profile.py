@@ -102,7 +102,7 @@ class ProviderClass(str, enum.Enum):
     INSUFFICIENT = "Insufficient"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexEvent:
     """One surgical episode: the procedure claim, its anchors, and the
     oral-analgesic opioid fills on its first fill day within
@@ -115,7 +115,7 @@ class IndexEvent:
     first_opioid_fills: tuple[PharmacyClaim, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProviderProfile:
     provider_id: str
     provider_type: ProviderType
@@ -144,7 +144,8 @@ def eligible_procedures(
         ):
             continue
         out.append((*index_anchor_dates(claim), name, claim))
-    out.sort(key=lambda p: (p[1], p[3].claim_id))
+    if len(out) > 1:
+        out.sort(key=lambda p: (p[1], p[3].claim_id))
     return out
 
 
@@ -156,7 +157,7 @@ def index_event_for(
     fills = opioid_fills_in_window(store, claim.person_id, late, 0, OPIOID_FILL_WINDOW_DAYS)
     if not fills:
         return None
-    first_day = min(offset for offset, _, _ in fills)
+    first_day = fills[0][0]  # the window's fills are in date order
     first = tuple(f for offset, f, _ in fills if offset == first_day)
     return IndexEvent(name, claim, early, late, first)
 

@@ -2,7 +2,6 @@
 and report assembly."""
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -74,19 +73,15 @@ _outcome_values = operator.attrgetter(*OUTCOMES)
 _covariate_values = operator.itemgetter(*COVARIATE_COLUMNS)
 
 
-def _table_from_rows(rows, calendar: StudyCalendar) -> dict:
-    """Columnar table of row tuples in ANALYSIS_TABLE_COLUMNS order. Rows are
-    taken in blocks and each list is freed once its array exists, so a
-    table's rows, lists and arrays are never all held at once."""
-    rows = iter(rows)
-    columns = [[] for _ in ANALYSIS_TABLE_COLUMNS]
-    for block in iter(lambda: list(itertools.islice(rows, 1024)), []):
-        for column, values in zip(columns, zip(*block)):
-            column.extend(values)
-    table: dict = {}
-    for name, values in zip(ANALYSIS_TABLE_COLUMNS, columns):
-        table[name] = np.asarray(values, dtype=float if name in _FLOAT_COLUMNS else object)
-        values.clear()
+def _table(rows: list[tuple], flat: list, calendar: StudyCalendar) -> dict:
+    """Columnar table of rows that lead with (person_id, provider_id,
+    late_anchor) and of the float columns' values, row after row in one
+    flat list; each float column is a contiguous array of its own."""
+    table = {name: np.asarray([row[k] for row in rows], dtype=object)
+             for k, name in enumerate(ANALYSIS_TABLE_COLUMNS[:3])}
+    values = np.array(flat, dtype=float).reshape(len(rows), len(_FLOAT_COLUMNS))
+    for j, name in enumerate(_FLOAT_COLUMNS):
+        table[name] = values[:, j].copy()
     table["_calendar"] = calendar
     return table
 
@@ -98,29 +93,38 @@ def build_analysis_table(
     antidepressant_codes: frozenset[str] = frozenset(),
 ) -> dict:
     """Columnar analysis table: ids, design indicators, outcomes, covariates."""
-    # bools become 1.0 and 0.0 in the float columns
-    table_rows = (
-        (row.person_id, row.index_event.claim.provider_id, row.index_event.late_anchor,
-         row.exposure is Exposure.EXPOSED, row.period is Period.POST,
-         *_outcome_values(compute_outcomes(row, store)),
-         *_covariate_values(compute_covariates(row, store, cmap, antidepressant_codes)))
-        for row in rows
-    )
-    return _table_from_rows(table_rows, store.calendar)
+    flat: list = []
+    for row in rows:
+        # bools become 1.0 and 0.0 in the float columns
+        flat.append(row.exposure is Exposure.EXPOSED)
+        flat.append(row.period is Period.POST)
+        flat.extend(_outcome_values(compute_outcomes(row, store)))
+        flat.extend(_covariate_values(compute_covariates(row, store, cmap, antidepressant_codes)))
+    ids = [(row.person_id, row.index_event.claim.provider_id, row.index_event.late_anchor)
+           for row in rows]
+    return _table(ids, flat, store.calendar)
+
+
+def _formatted(values: list[float]) -> list[str]:
+    """fmt_num of each value, each distinct value formatted once. Equal
+    floats have one text (0.0 and -0.0 are both "0"); a NaN equals no key,
+    so each NaN is formatted on its own."""
+    memo: dict[float, str] = {}
+    return [memo[v] if v in memo else memo.setdefault(v, fmt_num(v)) for v in values]
 
 
 def write_analysis_table(path: str, table: dict) -> None:
     ids = [table[name].tolist() for name in ("person_id", "provider_id")]
     anchors = [d.isoformat() for d in table["late_anchor"].tolist()]
-    values = [map(fmt_num, table[name].tolist()) for name in _FLOAT_COLUMNS]
+    values = [_formatted(table[name].tolist()) for name in _FLOAT_COLUMNS]
     write_csv(path, ANALYSIS_TABLE_COLUMNS, zip(*ids, anchors, *values))
 
 
 def read_analysis_table(path: str, calendar: StudyCalendar) -> dict:
-    return _table_from_rows(read_reference_csv(
+    rows = read_reference_csv(
         path, ANALYSIS_TABLE_COLUMNS,
-        lambda row: (row[0], row[1], date.fromisoformat(row[2]), *map(float, row[3:])),
-    ), calendar)
+        lambda row: (row[0], row[1], date.fromisoformat(row[2]), *map(float, row[3:])))
+    return _table(rows, [v for row in rows for v in row[3:]], calendar)
 
 
 @dataclass(frozen=True)

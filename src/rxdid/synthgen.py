@@ -127,18 +127,17 @@ class SimConfig:
         problems = [f"{f.name}={getattr(self, f.name)} must be finite" for f in fields(self)
                     if f.type == "float" and not math.isfinite(getattr(self, f.name))]
         for name in (
-            "high_pref_fraction", "share_mean_high", "share_mean_low",
-            "group_practice_fraction", "enrollment_gap_rate", "prior_opioid_rate",
-            "no_fill_rate", "underage_rate", "sex_female_prob", "comorbidity_prev",
-            "antidepressant_prev",
+            "high_pref_fraction", "group_practice_fraction", "enrollment_gap_rate",
+            "prior_opioid_rate", "no_fill_rate", "underage_rate", "sex_female_prob",
+            "comorbidity_prev", "antidepressant_prev",
         ):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 problems.append(f"{name}={v} must be in [0, 1]")
-        for name in ("refill_prob", "persistence_prob"):
+        for name in ("refill_prob", "persistence_prob", "share_mean_high", "share_mean_low"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
-                # generate() takes their logits
+                # generate() takes logits of the first two, beta draws around the last two
                 problems.append(f"{name}={v} must be in (0, 1)")
         for name in ("effect_initial_mme", "effect_refill", "effect_persistence"):
             if getattr(self, name) <= 0:

@@ -177,6 +177,8 @@ def test_unparsable_thresholds_are_one_line_validation_error(tmp_path, sim_file,
     ("effect_refill = nan", "effect_refill"),
     ("refill_prob = 0", "refill_prob"),
     ("persistence_prob = 1", "persistence_prob"),
+    ("share_mean_high = 1.0", "share_mean_high"),
+    ("share_mean_low = 0.0", "share_mean_low"),
 ])
 def test_bad_sim_config_value_is_one_line_validation_error(tmp_path, capsys, line, named):
     cfg = tmp_path / "bad.cfg"

@@ -1,8 +1,10 @@
 """Cohort eligibility rules, including the 20-person golden fixture in
 which each excluded person violates exactly one rule."""
 from datetime import date, timedelta
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rxdid.claims_core import (
     DrugCatalogEntry,
@@ -18,14 +20,26 @@ from rxdid.claims_core import (
     store_from_records,
 )
 from rxdid.cohort_builder import (
+    FOLLOWUP_ENROLLMENT_DAYS,
+    MIN_AGE,
+    NAIVE_LOOKBACK_DAYS,
+    PRIOR_ENROLLMENT_DAYS,
+    CohortRow,
     ExclusionReason,
     Exposure,
     Period,
     assign_period,
     build_cohort,
+    los_category,
 )
+from rxdid.measures import OutcomeVector, compute_outcomes
 from rxdid.prescriber_profile import (
+    HIP_FRACTURE_DX_PREFIX,
+    OPIOID_FILL_WINDOW_DAYS,
+    IndexEvent,
     ProcedureCodeSet,
+    ProviderClass,
+    ProviderProfile,
     classify_providers,
     find_index_events,
 )
@@ -315,3 +329,177 @@ def test_washout_claim_and_outside_claim_exclude_as_washout():
     verdict = _study_person(lambda fb: fb.add("p_wo", date(2014, 9, 15), extra_claims=[
         _same_day_claim("c000", "p_wo", date(2011, 8, 1), "drP", "47562")]))
     assert verdict == [ExclusionReason.WASHOUT_PERIOD]
+
+
+# -- the cohort rules against a plain reference ------------------------------
+
+def _reference_fills(store, pid, anchor, lo, hi):
+    """(offset, fill) of each oral-analgesic fill lo..hi days from anchor,
+    by a scan of the person's whole fill list."""
+    out = []
+    for fill in store.pharmacy.get(pid, ()):
+        offset = (fill.fill_date - anchor).days
+        if lo <= offset <= hi and store.catalog[fill.drug_code].is_oral_analgesic_opioid:
+            out.append((offset, fill))
+    return out
+
+
+def _reference_person(pid, store, profiles, calendar, codes):
+    """The cohort rules in their plain order: eligible list, in-window
+    list, same-day check, age, provider class, enrollment, 7-day fill,
+    opioid-naive."""
+    eligible = []
+    for claim in store.medical.get(pid, ()):
+        name = codes.procedure_of(claim.cpt_code)
+        if name is None or (name == "total_hip_replacement" and any(
+                dx.startswith(HIP_FRACTURE_DX_PREFIX) for dx in claim.diagnoses)):
+            continue
+        early = min(claim.service_date, claim.admission_date or claim.service_date)
+        late = max(claim.service_date, claim.discharge_date or claim.service_date)
+        eligible.append((early, late, name, claim))
+    eligible.sort(key=lambda p: (p[1], p[3].claim_id))
+    if not eligible:
+        return ExclusionReason.NO_ELIGIBLE_PROCEDURE
+
+    periods = [(p, assign_period(p[1], calendar)) for p in eligible]
+    in_window = [(p, period) for p, period in periods if period in (Period.PRE, Period.POST)]
+    if not in_window:
+        if any(period is Period.WASHOUT for _, period in periods):
+            return ExclusionReason.WASHOUT_PERIOD
+        return ExclusionReason.OUTSIDE_STUDY_WINDOW
+    (early, late, name, claim), period = in_window[0]
+    if any(other[1] == late
+           and (other[3].provider_id, other[3].cpt_code) != (claim.provider_id, claim.cpt_code)
+           for other, _ in in_window[1:]):
+        return ExclusionReason.MULTIPLE_SAME_DAY
+
+    demo = store.demographics.get(pid)
+    if demo is None or late.year - demo.birth_year < MIN_AGE:
+        return ExclusionReason.UNDER_AGE
+    profile = profiles.get(claim.provider_id)
+    if profile is None or profile.provider_class not in (
+            ProviderClass.PRESCRIBER, ProviderClass.NON_PRESCRIBER):
+        return ExclusionReason.PROVIDER_UNCLASSIFIED
+    spans = store.enrollment.get(pid, ())
+    if not any(s.start <= early - timedelta(days=PRIOR_ENROLLMENT_DAYS) and s.end >= early
+               for s in spans):
+        return ExclusionReason.INSUFFICIENT_PRIOR_ENROLLMENT
+    if not any(s.start <= late and s.end >= late + timedelta(days=FOLLOWUP_ENROLLMENT_DAYS)
+               for s in spans):
+        return ExclusionReason.INSUFFICIENT_FOLLOWUP_ENROLLMENT
+    fills = _reference_fills(store, pid, late, 0, OPIOID_FILL_WINDOW_DAYS)
+    if not fills:
+        return ExclusionReason.NO_OPIOID_FILL_WITHIN_7_DAYS
+    if _reference_fills(store, pid, early, -NAIVE_LOOKBACK_DAYS, -1):
+        return ExclusionReason.NOT_OPIOID_NAIVE
+
+    first_day = min(offset for offset, _ in fills)
+    event = IndexEvent(name, claim, early, late,
+                       tuple(f for offset, f in fills if offset == first_day))
+    exposure = (Exposure.EXPOSED if profile.provider_class is ProviderClass.PRESCRIBER
+                else Exposure.UNEXPOSED)
+    return CohortRow(pid, exposure, period, event, late.year - demo.birth_year, demo.sex,
+                     los_category(claim))
+
+
+def _reference_cohort(store, profiles, calendar, codes):
+    rows, audit = [], {r: 0 for r in ExclusionReason}
+    for pid in sorted(store.medical):
+        result = _reference_person(pid, store, profiles, calendar, codes)
+        if isinstance(result, CohortRow):
+            rows.append(result)
+        else:
+            audit[result] += 1
+    return rows, audit
+
+
+# Days that sit on or next to each calendar boundary, in every period.
+_DAYS = [
+    CAL.pre_start - timedelta(days=3), CAL.pre_start, CAL.pre_start + timedelta(days=200),
+    date(2013, 5, 10), CAL.pre_end, CAL.pre_end + timedelta(days=1),
+    CAL.post_start - timedelta(days=1), CAL.post_start, date(2015, 3, 3),
+    CAL.post_end, CAL.post_end + timedelta(days=1),
+]
+# eligible CPTs of three procedures, a total hip replacement, and one CPT of no procedure
+_CPTS = ["47562", "49505", "27130", "99213"]
+# drP and drN are included, drF is Indeterminate and drX was never profiled
+_PROVIDERS = ["drP", "drP", "drP", "drN", "drN", "drN", "drF", "drX"]
+# a day-1 fill is drawn most often, so that many persons pass every rule
+_FILL_OFFSETS = [-91, -90, -30, -30, -1, 0, 1, 1, 1, 1, 3, 7, 8, 31, 95]
+_ENROLL_STARTS = [-91, -90, -89]
+_ENROLL_ENDS = [-1, 179, 180]
+_PROFILES = {
+    pid: ProviderProfile(pid, ProviderType.INDIVIDUAL, 5, n, Fraction(n, 5), cls)
+    for pid, n, cls in (("drP", 5, ProviderClass.PRESCRIBER),
+                        ("drN", 0, ProviderClass.NON_PRESCRIBER),
+                        ("drF", 2, ProviderClass.INDETERMINATE))
+}
+
+
+@st.composite
+def _cohort_stores(draw):
+    """Up to four persons with up to four claims each, drawn from a few
+    days (half of them on one day), CPTs and providers so that same-day
+    claims, exact rebills, washout and outside claims, enrollment gaps,
+    missing demographics and prior opioid fills all occur."""
+    spans, fills, claims, persons = [], [], [], []
+    for p in range(draw(st.integers(1, 4))):
+        pid = f"p{p}"
+        days = []
+        home = draw(st.sampled_from(_DAYS))
+        for _ in range(draw(st.integers(1, 4))):
+            day = draw(st.sampled_from([home] * len(_DAYS) + _DAYS))
+            cpt = draw(st.sampled_from(_CPTS))
+            inpatient = draw(st.booleans())
+            claims.append(MedicalClaim(
+                f"c{len(claims):03d}", pid, draw(st.sampled_from(_PROVIDERS)),
+                ProviderType.INDIVIDUAL, cpt, day,
+                day - timedelta(days=2) if inpatient and draw(st.booleans()) else None,
+                day + timedelta(days=draw(st.sampled_from([0, 3]))) if inpatient else None,
+                Setting.INPATIENT if inpatient else Setting.AMBULATORY,
+                ("82021",) if cpt == "27130" and draw(st.booleans()) else (),
+            ))
+            days.append(day)
+        for _ in range(draw(st.integers(0, 4))):
+            day = draw(st.sampled_from(days)) + timedelta(days=draw(st.sampled_from(_FILL_OFFSETS)))
+            fills.append(PharmacyClaim(pid, day, draw(st.sampled_from(["HYD5", "OXY5", "FENTP"])),
+                                       float(draw(st.integers(1, 3)) * 10)))
+        enrollment = draw(st.sampled_from(["all", "all", "all", "near", "gap", "none"]))
+        if enrollment == "all":
+            spans.append(EnrollmentSpan(pid, CAL.pre_start - timedelta(days=400),
+                                        CAL.post_end + timedelta(days=400)))
+        elif enrollment != "none":
+            # near the rules' bounds around one claim day; "gap" splits it
+            day = draw(st.sampled_from(days))
+            start = day + timedelta(days=draw(st.sampled_from(_ENROLL_STARTS)))
+            end = day + timedelta(days=draw(st.sampled_from(_ENROLL_ENDS)))
+            if enrollment == "gap":
+                spans.append(EnrollmentSpan(pid, start, day - timedelta(days=30)))
+                start = day - timedelta(days=28)
+            spans.append(EnrollmentSpan(pid, start, end))
+        if draw(st.integers(0, 7)):
+            persons.append(PersonDemographics(pid, draw(st.sampled_from([1960, 1960, 1960, 1995])),
+                                              Sex.FEMALE))
+    catalog = CATALOG + [DrugCatalogEntry("FENTP", OpioidIngredient.FENTANYL, False, 0.0, 0.0)]
+    return store_from_records(CAL, spans, fills, claims, persons, catalog)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cohort_stores())
+def test_cohort_rules_equal_the_plain_reference(store):
+    codes = ProcedureCodeSet()
+    assert build_cohort(store, _PROFILES, CAL, codes) == _reference_cohort(
+        store, _PROFILES, CAL, codes)
+
+
+def test_records_are_slotted():
+    store = golden_fixture()
+    rows, _ = _cohort(store)
+    event = rows[0].index_event
+    records = [
+        store.enrollment["inc_pre_e1"][0], store.pharmacy["inc_pre_e1"][0], event.claim,
+        store.demographics["inc_pre_e1"], store.catalog["HYD5"], event,
+        _PROFILES["drP"], rows[0], compute_outcomes(rows[0], store),
+    ]
+    assert isinstance(records[-1], OutcomeVector)
+    assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []

@@ -29,3 +29,34 @@ def test_cli_hooks_resolve():
 
     assert set(cli._STEP_FUNCS) == set(cli.STEPS)
     assert callable(cli._sha256)
+
+
+def test_analysis_table_computes_each_row_once_through_the_traced_names(monkeypatch):
+    # The tracer sums compute_outcomes and compute_covariates as looked up in
+    # study_analysis; its per-row times are true only with one call per row.
+    from rxdid import cohort_builder, prescriber_profile, study_analysis, synthgen
+    from rxdid.claims_core import StudyCalendar
+    from rxdid.measures import ComorbidityMap
+
+    calendar = StudyCalendar()
+    store, _ = synthgen.generate(
+        synthgen.SimConfig(seed=11, n_providers=30, patients_per_provider_quarter=1.0))
+    codes = prescriber_profile.ProcedureCodeSet()
+    events = prescriber_profile.find_index_events(
+        store, codes, calendar.profiling_start, calendar.profiling_end)
+    rows, _ = cohort_builder.build_cohort(
+        store, prescriber_profile.classify_providers(events, store), calendar, codes)
+
+    seen = {"compute_outcomes": [], "compute_covariates": []}
+    for name, calls in seen.items():
+        def counted(row, *args, _fn=getattr(study_analysis, name), _calls=calls):
+            _calls.append(row)
+            return _fn(row, *args)
+        monkeypatch.setattr(study_analysis, name, counted)
+    table = study_analysis.build_analysis_table(
+        rows, store, ComorbidityMap.default(), frozenset(synthgen.ANTIDEPRESSANT_CODES))
+
+    assert rows and len(table["person_id"]) == len(rows)
+    for calls in seen.values():
+        assert len(calls) == len(rows)
+        assert all(called is row for called, row in zip(calls, rows))

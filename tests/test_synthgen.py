@@ -78,6 +78,8 @@ def test_ground_truth_round_trip(tmp_path):
     {"procedure_weights": {"knee_arthroscopy": 2.0, "breast_excision": -1.0}},
     {"refill_prob": 0.0},
     {"persistence_prob": 1.0},
+    {"share_mean_high": 1.0},
+    {"share_mean_low": 0.0},
 ])
 def test_invalid_config(overrides):
     with pytest.raises(InvalidConfig):
