@@ -210,8 +210,7 @@ class _Run:
 
     @cached_property
     def table(self) -> dict:
-        return self._read("analysis_table.csv",
-                          lambda path: read_analysis_table(path, self.calendar), "cohort")
+        return self._read("analysis_table.csv", read_analysis_table, "cohort")
 
 
 def _run_id(run: _Run) -> str:
@@ -283,7 +282,8 @@ def step_describe(args, run: _Run) -> list[str]:
 def step_pretrend(args, run: _Run) -> list[str]:
     table = run.table
     # estimate_json at once, so that no two fits are alive together.
-    run.pretrend = {name: estimate_json(run_pretrend(table, name)) for name in OUTCOMES}
+    run.pretrend = {
+        name: estimate_json(run_pretrend(table, name, run.calendar)) for name in OUTCOMES}
     path = os.path.join(args.out, "pretrend.json")
     write_json(path, run.pretrend)
     return [path]
@@ -342,7 +342,7 @@ def step_trends(args, run: _Run) -> list[str]:
     table = run.table
     outputs = []
     for outcome in OUTCOMES:
-        series = trend_series(table, outcome)
+        series = trend_series(table, outcome, run.calendar)
         path = os.path.join(args.out, f"trends_{outcome}.csv")
         write_trends_csv(path, series)
         outputs.append(path)

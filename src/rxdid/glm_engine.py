@@ -187,31 +187,6 @@ class FitResult:
         return float(np.sqrt(max(self.robust_cov[i, i], 0.0)))
 
 
-def build_design(
-    data: dict[str, np.ndarray],
-    terms: tuple[str, ...] | list[str],
-    intercept: bool = True,
-) -> tuple[np.ndarray, list[str]]:
-    """Design matrix from named columns; 'a:b' terms are products."""
-    cols = []
-    names = []
-    n = None
-    if intercept:
-        names.append("intercept")
-    for term in terms:
-        parts = term.split(":")
-        col = None
-        for part in parts:
-            v = np.asarray(data[part], dtype=float)
-            col = v if col is None else col * v
-        cols.append(col)
-        names.append(term)
-        n = len(col)
-    if intercept:
-        cols.insert(0, np.ones(n if n is not None else 0))
-    return np.column_stack(cols), names
-
-
 def _dependent_columns(X: np.ndarray) -> list[int]:
     """Column-pivoted Householder QR detection of linearly dependent columns.
 
@@ -511,10 +486,9 @@ def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     """Average marginal effect of a binary design column by standardization.
 
     Mean over rows of [prediction at term=1 minus prediction at term=0];
-    CI_LEVEL interval by the delta method on the robust covariance.
+    CI_LEVEL interval by the delta method on the robust covariance. A term
+    the fit lacks raises ValueError, as in coef.
     """
-    if term not in fit_result.names:
-        return MarginalEffect(0.0, 0.0, 0.0, 0.0)
     fam = _FAMILIES[fit_result.family]
     j = fit_result.names.index(term)
     X = fit_result.X

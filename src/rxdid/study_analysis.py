@@ -26,7 +26,6 @@ from .glm_engine import (
     NonConvergence,
     confidence_interval,
     fit_arrays,
-    build_design,
     marginal_effect,
     wald_test,
 )
@@ -73,16 +72,16 @@ _outcome_values = operator.attrgetter(*OUTCOMES)
 _covariate_values = operator.itemgetter(*COVARIATE_COLUMNS)
 
 
-def _table(rows: list[tuple], flat: list, calendar: StudyCalendar) -> dict:
+def _table(rows: list[tuple], flat: list) -> dict:
     """Columnar table of rows that lead with (person_id, provider_id,
     late_anchor) and of the float columns' values, row after row in one
-    flat list; each float column is a contiguous array of its own."""
+    flat list; each float column is a contiguous array of its own, and
+    the table holds its ANALYSIS_TABLE_COLUMNS and nothing else."""
     table = {name: np.asarray([row[k] for row in rows], dtype=object)
              for k, name in enumerate(ANALYSIS_TABLE_COLUMNS[:3])}
     values = np.array(flat, dtype=float).reshape(len(rows), len(_FLOAT_COLUMNS))
     for j, name in enumerate(_FLOAT_COLUMNS):
         table[name] = values[:, j].copy()
-    table["_calendar"] = calendar
     return table
 
 
@@ -102,7 +101,7 @@ def build_analysis_table(
         flat.extend(_covariate_values(compute_covariates(row, store, cmap, antidepressant_codes)))
     ids = [(row.person_id, row.index_event.claim.provider_id, row.index_event.late_anchor)
            for row in rows]
-    return _table(ids, flat, store.calendar)
+    return _table(ids, flat)
 
 
 def _formatted(values: list[float]) -> list[str]:
@@ -120,11 +119,11 @@ def write_analysis_table(path: str, table: dict) -> None:
     write_csv(path, ANALYSIS_TABLE_COLUMNS, zip(*ids, anchors, *values))
 
 
-def read_analysis_table(path: str, calendar: StudyCalendar) -> dict:
+def read_analysis_table(path: str) -> dict:
     rows = read_reference_csv(
         path, ANALYSIS_TABLE_COLUMNS,
         lambda row: (row[0], row[1], date.fromisoformat(row[2]), *map(float, row[3:])))
-    return _table(rows, [v for row in rows for v in row[3:]], calendar)
+    return _table(rows, [v for row in rows for v in row[3:]])
 
 
 @dataclass(frozen=True)
@@ -144,60 +143,6 @@ class DidEstimate:
     dropped_columns: tuple[str, ...] = ()
     # The fit the numbers come from; not compared, and left out of estimate_json.
     fit: FitResult | None = field(default=None, compare=False, repr=False)
-
-
-def _check_cells(exposed: np.ndarray, post: np.ndarray) -> None:
-    for e in (0.0, 1.0):
-        for p in (0.0, 1.0):
-            if not np.any((exposed == e) & (post == p)):
-                raise DegenerateDesign(
-                    f"empty exposure x period cell (exposed={int(e)}, post={int(p)})"
-                )
-
-
-def _fit_terms(table: dict, outcome: str, terms: list[str]) -> FitResult:
-    X, names = build_design(table, terms, intercept=True)
-    y = table[outcome]
-    result = fit_arrays(
-        X, y, OUTCOME_FAMILIES[outcome], names=names,
-        cluster_ids=table["provider_id"], drop_collinear=True,
-    )
-    if not result.converged:
-        last = ", ".join(repr(d) for d in result.deviance_trace[-2:])
-        raise NonConvergence(
-            f"{outcome}: IRLS did not converge in {result.n_iterations} "
-            f"iterations; last deviances {last}",
-            result.deviance_trace,
-        )
-    return result
-
-
-def run_did(table: dict, outcome: str, covariates: list[str] | None = None) -> DidEstimate:
-    """Exposure x period interaction model with cluster-robust inference."""
-    _check_cells(table["exposed"], table["post"])
-    terms = ["exposed", "post", "exposed:post"] + list(
-        COVARIATE_COLUMNS if covariates is None else covariates)
-    result = _fit_terms(table, outcome, terms)
-    coef = result.coef("exposed:post")
-    lo, hi = confidence_interval(result, "exposed:post")
-    wald = wald_test(result, ["exposed:post"])
-    ame = marginal_effect(result, "exposed:post")
-    return DidEstimate(
-        outcome=outcome,
-        family=result.family,
-        interaction=coef,
-        ci_low=lo,
-        ci_high=hi,
-        p_value=wald.p_value,
-        significant=wald.p_value < SIGNIFICANCE_LEVEL,
-        ame=ame.effect,
-        ame_ci_low=ame.ci_low,
-        ame_ci_high=ame.ci_high,
-        n_obs=result.n_obs,
-        n_clusters=result.n_clusters,
-        dropped_columns=tuple(result.dropped_columns),
-        fit=result,
-    )
 
 
 @dataclass(frozen=True)
@@ -232,45 +177,104 @@ def pre_year_index(late_anchor: date, calendar: StudyCalendar) -> int:
     return min(max(int(days // DAYS_PER_YEAR) + 1, 1), 3)
 
 
-def run_pretrend(table: dict, outcome: str, covariates: list[str] | None = None) -> PretrendResult:
-    """Exposure x pre-year interactions with a joint Wald test (df=2)."""
-    calendar = table["_calendar"]
-    pre_mask = table["post"] == 0.0
-    if not np.any(pre_mask):
-        raise DegenerateDesign("no pre-period rows for the pre-trend analysis")
-    sub = {
-        k: (v[pre_mask] if isinstance(v, np.ndarray) else v)
-        for k, v in table.items()
-    }
-    years = np.array([
-        pre_year_index(d, calendar) for d in sub["late_anchor"]
+def _fit_spec(
+    table: dict,
+    outcome: str,
+    rows,
+    periods: dict[str, np.ndarray],
+    covariates: list[str] | None,
+) -> FitResult:
+    """Fit ``outcome`` on [intercept, exposed, *periods, exposed:<period>...,
+    *covariates] over the table's ``rows`` (a mask or a slice).
+
+    ``periods`` maps each period indicator to its 0/1 column over those
+    rows; the rows where every indicator is 0 are the reference period.
+    Each exposure group must have rows in the reference period and in each
+    indicator's period, and no exposed:<period> term may be dropped as
+    collinear.
+    """
+    exposed = table["exposed"][rows]
+    columns = list(periods.values())
+    cells = [(", ".join(f"{name}=0" for name in periods),
+              np.logical_and.reduce([col == 0.0 for col in columns]))]
+    cells += [(f"{name}=1", col == 1.0) for name, col in periods.items()]
+    for e in (0.0, 1.0):
+        for label, in_period in cells:
+            if not np.any((exposed == e) & in_period):
+                raise DegenerateDesign(
+                    f"{outcome}: empty exposure x period cell (exposed={int(e)}, {label})")
+
+    covariates = COVARIATE_COLUMNS if covariates is None else covariates
+    tested = [f"exposed:{name}" for name in periods]
+    X = np.column_stack([
+        np.ones(len(exposed)), exposed, *columns, *(exposed * col for col in columns),
+        *(table[name][rows] for name in covariates),
     ])
-    sub["year2"] = (years == 2).astype(float)
-    sub["year3"] = (years == 3).astype(float)
-    if not np.any(sub["exposed"] == 1.0) or not np.any(sub["exposed"] == 0.0):
-        raise DegenerateDesign("pre-period rows must include both exposure groups")
-    for name in ("year2", "year3"):
-        if not np.any(sub[name] == 1.0):
-            raise DegenerateDesign(f"no pre-period rows in {name}")
-
-    terms = ["exposed", "year2", "year3", "exposed:year2", "exposed:year3"] + list(
-        COVARIATE_COLUMNS if covariates is None else covariates)
-    result = _fit_terms(sub, outcome, terms)
-
-    def year_stats(term: str) -> YearInteraction:
-        lo, hi = confidence_interval(result, term)
-        w = wald_test(result, [term])
-        a = marginal_effect(result, term)
-        return YearInteraction(
-            result.coef(term), lo, hi, w.p_value, a.effect, a.ci_low, a.ci_high
+    result = fit_arrays(
+        X, table[outcome][rows], OUTCOME_FAMILIES[outcome],
+        names=["intercept", "exposed", *periods, *tested, *covariates],
+        cluster_ids=table["provider_id"][rows], drop_collinear=True,
+    )
+    if not result.converged:
+        last = ", ".join(repr(d) for d in result.deviance_trace[-2:])
+        raise NonConvergence(
+            f"{outcome}: IRLS did not converge in {result.n_iterations} "
+            f"iterations; last deviances {last}",
+            result.deviance_trace,
         )
+    lost = [term for term in tested if term in result.dropped_columns]
+    if lost:
+        raise DegenerateDesign(
+            f"{outcome}: {', '.join(lost)} dropped as collinear with the other columns")
+    return result
 
+
+def _term(result: FitResult, term: str) -> YearInteraction:
+    """Coefficient, CI, Wald p-value and average marginal effect of one term."""
+    lo, hi = confidence_interval(result, term)
+    ame = marginal_effect(result, term)
+    return YearInteraction(result.coef(term), lo, hi, wald_test(result, [term]).p_value,
+                           ame.effect, ame.ci_low, ame.ci_high)
+
+
+def run_did(table: dict, outcome: str, covariates: list[str] | None = None) -> DidEstimate:
+    """Exposure x period interaction model with cluster-robust inference."""
+    result = _fit_spec(table, outcome, slice(None), {"post": table["post"]}, covariates)
+    term = _term(result, "exposed:post")
+    return DidEstimate(
+        outcome=outcome,
+        family=result.family,
+        interaction=term.coefficient,
+        ci_low=term.ci_low,
+        ci_high=term.ci_high,
+        p_value=term.p_value,
+        significant=term.p_value < SIGNIFICANCE_LEVEL,
+        ame=term.ame,
+        ame_ci_low=term.ame_ci_low,
+        ame_ci_high=term.ame_ci_high,
+        n_obs=result.n_obs,
+        n_clusters=result.n_clusters,
+        dropped_columns=tuple(result.dropped_columns),
+        fit=result,
+    )
+
+
+def run_pretrend(
+    table: dict, outcome: str, calendar: StudyCalendar, covariates: list[str] | None = None,
+) -> PretrendResult:
+    """Exposure x pre-year interactions, year 1 the reference, with a joint
+    Wald test (df=2); the pre-period rows are binned into years by calendar."""
+    pre = table["post"] == 0.0
+    years = np.array([pre_year_index(d, calendar) for d in table["late_anchor"][pre]])
+    result = _fit_spec(table, outcome, pre, {
+        "year2": (years == 2).astype(float), "year3": (years == 3).astype(float),
+    }, covariates)
     joint = wald_test(result, ["exposed:year2", "exposed:year3"])
     return PretrendResult(
         outcome=outcome,
         family=result.family,
-        year2=year_stats("exposed:year2"),
-        year3=year_stats("exposed:year3"),
+        year2=_term(result, "exposed:year2"),
+        year3=_term(result, "exposed:year3"),
         joint_statistic=joint.statistic,
         joint_df=joint.df,
         joint_p=joint.p_value,
@@ -341,10 +345,11 @@ def _bin_starts(start: date, end: date) -> list[date]:
     return [start + timedelta(days=i * TREND_BIN_DAYS) for i in range(n_full)]
 
 
-def trend_series(table: dict, outcome: str) -> dict[str, list[TrendBin]]:
-    """Per-group means over TREND_BIN_DAYS bins; the final partial bin
-    merges into the last full bin."""
-    calendar = table["_calendar"]
+def trend_series(
+    table: dict, outcome: str, calendar: StudyCalendar,
+) -> dict[str, list[TrendBin]]:
+    """Per-group means over TREND_BIN_DAYS bins of the calendar's pre and
+    post periods; the final partial bin merges into the last full bin."""
     values = table[outcome].tolist()  # Python floats, so a mean prints as a number
     out: dict[str, list[TrendBin]] = {}
     for group, mask in (

@@ -101,7 +101,6 @@ def test_criterion_3_did_closed_form():
         "exposed": np.array(exposed), "post": np.array(post),
         "any_refill_30d": np.array(y),
         "provider_id": np.array(prov, dtype=object),
-        "_calendar": CAL,
     }
     est = run_did(table, "any_refill_30d", covariates=[])
     expected = math.log(1 / 2.25)
@@ -161,7 +160,7 @@ def test_criterion_5_type_i_and_pretrend_uniformity():
             patients_per_provider_quarter=2.0,
         )
         table = _analysis_table(cfg)
-        pvals.append(run_pretrend(table, "any_refill_30d").joint_p)
+        pvals.append(run_pretrend(table, "any_refill_30d", CAL).joint_p)
         if seed < 200:
             rejections += run_did(table, "any_refill_30d").significant
     rate = rejections / 200

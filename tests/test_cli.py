@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -213,7 +214,6 @@ def _post_only_table(n=40):
     table["initial_mme_7d"] = rng.gamma(4.0, 50.0, n)
     table["total_mme_30d"] = rng.gamma(4.0, 60.0, n)
     table["age"] = rng.integers(30, 70, n).astype(float)
-    table["_calendar"] = cal
     return table
 
 
@@ -223,6 +223,25 @@ def test_pretrend_post_only_is_analysis_error(tmp_path, capsys):
     write_analysis_table(os.path.join(out, "analysis_table.csv"), _post_only_table())
     assert main(["pretrend", "--out", out]) == 2
     assert "analysis error" in capsys.readouterr().err
+
+
+def test_pretrend_empty_exposed_year3_cell_is_one_line_analysis_error(tmp_path, capsys):
+    # Pre-period rows in years 1-3, but no exposed row in year 3.
+    cal = StudyCalendar()
+    table = _post_only_table(n=60)
+    table["post"][:] = 0.0
+    half = np.arange(60) // 2  # rows alternate unexposed, exposed
+    year = np.where(table["exposed"] == 1.0, half % 2, half % 3)
+    table["late_anchor"] = np.array(
+        [cal.pre_start + timedelta(days=int(y * 365.25) + 100) for y in year], dtype=object)
+    out = str(tmp_path / "r")
+    os.makedirs(os.path.join(out, "inputs"))
+    write_analysis_table(os.path.join(out, "analysis_table.csv"), table)
+    assert main(["pretrend", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: ") and len(err.splitlines()) == 1
+    assert "empty exposure x period cell (exposed=1, year3=1)" in err
+    assert not os.path.exists(os.path.join(out, "pretrend.json"))
 
 
 def test_did_nonconvergence_is_analysis_error(tmp_path, sim_file, capsys, monkeypatch):
@@ -265,7 +284,7 @@ def _counted(monkeypatch, name):
 def _column_digests(table):
     return {
         k: hashlib.sha256(repr(v.tolist()).encode() if v.dtype == object else v.tobytes()).hexdigest()
-        for k, v in table.items() if k != "_calendar"
+        for k, v in table.items()
     }
 
 
@@ -350,8 +369,10 @@ def test_standalone_step_reads_table_once(tmp_path, sim_file, monkeypatch):
 
 
 def _assert_same_table(back, table):
-    assert list(back) == list(table)
-    assert back["_calendar"] == table["_calendar"]
+    for t in (back, table):
+        # the table is its columns and nothing else
+        assert list(t) == ANALYSIS_TABLE_COLUMNS
+        assert all(isinstance(v, np.ndarray) for v in t.values())
     for name in ANALYSIS_TABLE_COLUMNS:
         assert back[name].dtype == table[name].dtype, name
         if table[name].dtype == object:
@@ -368,11 +389,11 @@ def test_table_read_back_equals_built_table(tmp_path, sim_file, monkeypatch):
         assert main([step, "--out", out, "--sim", sim_file]) == 0
     (table,) = built
     path = os.path.join(out, "analysis_table.csv")
-    _assert_same_table(read_analysis_table(path, StudyCalendar()), table)
+    _assert_same_table(read_analysis_table(path), table)
     # the simulated outcomes are short decimals; gamma draws use every digit
     table = _post_only_table()
     write_analysis_table(path, table)
-    _assert_same_table(read_analysis_table(path, StudyCalendar()), table)
+    _assert_same_table(read_analysis_table(path), table)
 
 
 def test_steps_leave_shared_table_unchanged(tmp_path, sim_file, monkeypatch):

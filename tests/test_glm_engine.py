@@ -19,7 +19,6 @@ from rxdid.glm_engine import (
     SingularSubmatrix,
     TooFewClusters,
     WaldResult,
-    build_design,
     cluster_robust_cov,
     confidence_interval,
     fit_arrays,
@@ -473,17 +472,9 @@ def test_marginal_effect_matches_counterfactual_designs(family):
         assert ame.se == pytest.approx(np.sqrt(grad @ fit_d.robust_cov @ grad), rel=1e-10)
 
 
-def test_marginal_effect_absent_term_is_zero():
+def test_marginal_effect_absent_term_raises():
+    # as coef, confidence_interval and wald_test do for a term the fit lacks
     res = _canned_fit([1.0], [[1.0]])
-    ame = marginal_effect(res, "not_there")
-    assert (ame.effect, ame.se) == (0.0, 0.0)
+    with pytest.raises(ValueError):
+        marginal_effect(res, "not_there")
 
-
-# -- design construction -----------------------------------------------------
-
-def test_build_design_interaction_products():
-    data = {"a": np.array([1.0, 2.0, 0.0]), "b": np.array([3.0, 0.5, 4.0])}
-    X, names = build_design(data, ["a", "b", "a:b"])
-    assert names == ["intercept", "a", "b", "a:b"]
-    assert np.allclose(X[:, 3], data["a"] * data["b"])
-    assert np.allclose(X[:, 0], 1.0)

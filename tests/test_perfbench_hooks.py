@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import os
 
+import pytest
+
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
@@ -31,12 +33,11 @@ def test_cli_hooks_resolve():
     assert callable(cli._sha256)
 
 
-def test_analysis_table_computes_each_row_once_through_the_traced_names(monkeypatch):
-    # The tracer sums compute_outcomes and compute_covariates as looked up in
-    # study_analysis; its per-row times are true only with one call per row.
-    from rxdid import cohort_builder, prescriber_profile, study_analysis, synthgen
+@pytest.fixture(scope="module")
+def cohort():
+    """A small simulated store and its cohort rows."""
+    from rxdid import cohort_builder, prescriber_profile, synthgen
     from rxdid.claims_core import StudyCalendar
-    from rxdid.measures import ComorbidityMap
 
     calendar = StudyCalendar()
     store, _ = synthgen.generate(
@@ -46,17 +47,54 @@ def test_analysis_table_computes_each_row_once_through_the_traced_names(monkeypa
         store, codes, calendar.profiling_start, calendar.profiling_end)
     rows, _ = cohort_builder.build_cohort(
         store, prescriber_profile.classify_providers(events, store), calendar, codes)
+    return store, rows
 
+
+def _analysis_table(store, rows):
+    from rxdid import study_analysis, synthgen
+    from rxdid.measures import ComorbidityMap
+
+    return study_analysis.build_analysis_table(
+        rows, store, ComorbidityMap.default(), frozenset(synthgen.ANTIDEPRESSANT_CODES))
+
+
+def test_analysis_table_computes_each_row_once_through_the_traced_names(monkeypatch, cohort):
+    # The tracer sums compute_outcomes and compute_covariates as looked up in
+    # study_analysis; its per-row times are true only with one call per row.
+    from rxdid import study_analysis
+
+    store, rows = cohort
     seen = {"compute_outcomes": [], "compute_covariates": []}
     for name, calls in seen.items():
         def counted(row, *args, _fn=getattr(study_analysis, name), _calls=calls):
             _calls.append(row)
             return _fn(row, *args)
         monkeypatch.setattr(study_analysis, name, counted)
-    table = study_analysis.build_analysis_table(
-        rows, store, ComorbidityMap.default(), frozenset(synthgen.ANTIDEPRESSANT_CODES))
+    table = _analysis_table(store, rows)
 
     assert rows and len(table["person_id"]) == len(rows)
     for calls in seen.values():
         assert len(calls) == len(rows)
         assert all(called is row for called, row in zip(calls, rows))
+
+
+def test_each_model_fits_once_through_the_traced_name(monkeypatch, cohort):
+    # sim_replicate keeps one fit per replicate by wrapping
+    # study_analysis.fit_arrays, and the tracer counts fits through that name.
+    from rxdid import study_analysis
+    from rxdid.claims_core import StudyCalendar
+
+    table = _analysis_table(*cohort)
+    fits = []
+
+    def kept(*args, _fn=study_analysis.fit_arrays, **kwargs):
+        fits.append(_fn(*args, **kwargs))
+        return fits[-1]
+    monkeypatch.setattr(study_analysis, "fit_arrays", kept)
+    for model in (
+        lambda: study_analysis.run_did(table, "any_refill_30d"),
+        lambda: study_analysis.run_pretrend(table, "any_refill_30d", StudyCalendar()),
+    ):
+        fits.clear()
+        result = model()
+        assert len(fits) == 1 and result.fit is fits[0]

@@ -52,7 +52,6 @@ def _binary_table(cells, n_clusters=10):
         "late_anchor": anchor,
         "provider_id": np.array(providers, dtype=object),
         "person_id": np.array([f"p{i}" for i in range(n_total)], dtype=object),
-        "_calendar": CAL,
     }
 
 
@@ -94,7 +93,6 @@ def test_did_gamma_ratio_of_ratios():
         "exposed": np.array(exposed), "post": np.array(post),
         "initial_mme_7d": np.array(y),
         "provider_id": np.array(providers, dtype=object),
-        "_calendar": CAL,
     }
     est = run_did(table, "initial_mme_7d", covariates=[])
     expected = math.log((150.0 / 120.0) / (200.0 / 100.0))
@@ -105,6 +103,17 @@ def test_did_empty_cell_degenerate():
     table = _binary_table([(1, 0, 100, 20), (0, 0, 100, 10), (1, 1, 100, 10)])
     with pytest.raises(DegenerateDesign):
         run_did(table, "any_refill_30d", covariates=[])
+
+
+def test_did_dropped_interaction_is_degenerate():
+    # A covariate that is a larger multiple of exposed:post takes the pivot
+    # first, so the rank check drops the tested term itself.
+    table = _binary_table([
+        (1, 0, 100, 20), (0, 0, 100, 10), (1, 1, 100, 10), (0, 1, 100, 10),
+    ])
+    table["dose"] = 3.0 * table["exposed"] * table["post"]
+    with pytest.raises(DegenerateDesign, match="exposed:post dropped as collinear"):
+        run_did(table, "any_refill_30d", covariates=["dose"])
 
 
 def test_did_nonconvergence_raises_with_diagnostics(monkeypatch):
@@ -154,13 +163,12 @@ def _pretrend_table(year3_ratio=1.0, n_per=120):
         "initial_mme_7d": np.array(y),
         "late_anchor": np.array(anchors, dtype=object),
         "provider_id": np.array(providers, dtype=object),
-        "_calendar": CAL,
     }
 
 
 def test_pretrend_recovers_year3_shift():
     ratio = math.exp(0.3)
-    res = run_pretrend(_pretrend_table(year3_ratio=ratio), "initial_mme_7d",
+    res = run_pretrend(_pretrend_table(year3_ratio=ratio), "initial_mme_7d", CAL,
                        covariates=[])
     assert res.year3.ci_low <= 0.3 <= res.year3.ci_high
     assert res.joint_df == 2
@@ -168,7 +176,7 @@ def test_pretrend_recovers_year3_shift():
 
 
 def test_pretrend_flat_is_nonsignificant():
-    res = run_pretrend(_pretrend_table(), "initial_mme_7d", covariates=[])
+    res = run_pretrend(_pretrend_table(), "initial_mme_7d", CAL, covariates=[])
     assert abs(res.year2.coefficient) < 0.1
     assert abs(res.year3.coefficient) < 0.1
     assert res.joint_p > 0.05
@@ -178,7 +186,35 @@ def test_pretrend_requires_pre_rows():
     table = _binary_table([(1, 1, 50, 10), (0, 1, 50, 10)])
     table["post"][:] = 1.0
     with pytest.raises(DegenerateDesign):
-        run_pretrend(table, "any_refill_30d", covariates=[])
+        run_pretrend(table, "any_refill_30d", CAL, covariates=[])
+
+
+@pytest.mark.parametrize("exposed", [0, 1])
+@pytest.mark.parametrize("year", [1, 2, 3])
+def test_pretrend_empty_exposure_year_cell_is_degenerate(exposed, year):
+    # Each of the six exposure x pre-year cells, the year-1 reference included.
+    table = _pretrend_table()
+    years = np.array([pre_year_index(d, CAL) for d in table["late_anchor"]])
+    keep = ~((table["exposed"] == exposed) & (years == year))
+    table = {name: column[keep] for name, column in table.items()}
+    cell = "year2=0, year3=0" if year == 1 else f"year{year}=1"
+    with pytest.raises(DegenerateDesign, match=rf"\(exposed={exposed}, {cell}\)"):
+        run_pretrend(table, "initial_mme_7d", CAL, covariates=[])
+
+
+def test_did_and_pretrend_share_one_design_builder():
+    table = _pretrend_table()
+    table["post"] = (np.arange(len(table["exposed"])) % 2).astype(float)
+    did = run_did(table, "initial_mme_7d", covariates=[]).fit
+    pre = run_pretrend(table, "initial_mme_7d", CAL, covariates=[]).fit
+    assert did.names == ["intercept", "exposed", "post", "exposed:post"]
+    assert pre.names == ["intercept", "exposed", "year2", "year3",
+                         "exposed:year2", "exposed:year3"]
+    assert np.array_equal(did.X[:, 3], table["exposed"] * table["post"])
+    rows = table["post"] == 0.0
+    assert pre.n_obs == rows.sum()
+    assert np.array_equal(pre.X[:, 1], table["exposed"][rows])
+    assert np.array_equal(pre.X[:, 4], pre.X[:, 1] * pre.X[:, 2])
 
 
 # -- trend series ------------------------------------------------------------
@@ -200,12 +236,11 @@ def _trend_table(vals_by_group):
         "exposed": np.array(exposed),
         "any_refill_30d": np.array(y),
         "late_anchor": np.array(anchors, dtype=object),
-        "_calendar": CAL,
     }
 
 
 def test_trend_bin_count_and_constant_means():
-    series = trend_series(_trend_table({1: 1.0, 0: 1.0}), "any_refill_30d")
+    series = trend_series(_trend_table({1: 1.0, 0: 1.0}), "any_refill_30d", CAL)
     for group in ("Exposed", "Unexposed"):
         bins = series[group]
         # 1096 pre days -> 12 full 91-day bins (remainder merged) + 4 post bins
@@ -217,7 +252,7 @@ def test_trend_bin_count_and_constant_means():
 
 
 def test_trend_groups_separated_by_construction():
-    series = trend_series(_trend_table({1: 0.4, 0: 0.2}), "any_refill_30d")
+    series = trend_series(_trend_table({1: 0.4, 0: 0.2}), "any_refill_30d", CAL)
     for be, bu in zip(series["Exposed"], series["Unexposed"]):
         assert be.mean - bu.mean == pytest.approx(0.2)
 
@@ -232,9 +267,8 @@ def test_trend_weighted_mean_identity():
             [CAL.pre_start + timedelta(days=int(d))
              for d in RNG.integers(0, 1096, size=2 * n)], dtype=object
         ),
-        "_calendar": CAL,
     }
-    series = trend_series(table, "any_refill_30d")
+    series = trend_series(table, "any_refill_30d", CAL)
     for group, mask in (("Exposed", table["exposed"] == 1.0),
                         ("Unexposed", table["exposed"] == 0.0)):
         grand = float(table["any_refill_30d"][mask].mean())
@@ -245,7 +279,8 @@ def test_trend_weighted_mean_identity():
 
 def test_trends_csv_means_are_plain_numbers(tmp_path):
     path = tmp_path / "trends.csv"
-    write_trends_csv(str(path), trend_series(_trend_table({1: 0.4, 0: 0.2}), "any_refill_30d"))
+    write_trends_csv(str(path), trend_series(_trend_table({1: 0.4, 0: 0.2}), "any_refill_30d",
+                                         CAL))
     lines = path.read_text().splitlines()
     assert lines[0] == "group,bin_start,n,mean" and len(lines) > 1
     for line in lines[1:]:
