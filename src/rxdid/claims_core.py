@@ -342,10 +342,27 @@ def read_reference_csv(path: str, columns: list[str], parse) -> list:
     return out
 
 
-def fmt_num(x: float) -> str:
-    """A number as the input files and the analysis table write it: whole values
-    without a fractional part, others in the shortest form that reads back exactly."""
-    return repr(int(x)) if float(x).is_integer() else repr(float(x))
+class TextMemo(dict):
+    """A writer's per-call memo of field text, each made once per distinct
+    value: "" for None, a date's ISO form, an enum member's value, and a
+    number as the input files and the analysis table write it: whole values
+    without a fractional part, others in the shortest form that reads back
+    exactly. Equal numbers have one text (0.0 and -0.0 are both "0"); a NaN
+    equals no key, so each NaN is formatted on its own."""
+
+    def __missing__(self, key):
+        if key is None:
+            text = ""
+        elif isinstance(key, date):
+            text = key.isoformat()
+        elif isinstance(key, enum.Enum):
+            text = key.value
+        elif float(key).is_integer():
+            text = repr(int(key))
+        else:
+            text = repr(float(key))
+        self[key] = text
+        return text
 
 
 def write_csv(path: str, columns: list[str], rows) -> None:
@@ -460,8 +477,9 @@ def _parse_persons(row, calendar, drug_codes) -> PersonDemographics:
 
 
 class InputFile(NamedTuple):
-    """One input CSV: header, row parser, row formatter, the ClaimsStore
-    field of its records, and whether its first column is a unique key."""
+    """One input CSV: header, row parser, row formatter (given the record
+    and the writer's TextMemo), the ClaimsStore field of its records, and
+    whether its first column is a unique key."""
 
     name: str
     columns: list[str]
@@ -478,21 +496,21 @@ INPUT_FILES = [
         ["drug_code", "ingredient", "is_oral_analgesic_opioid",
          "strength_mg_per_unit", "mme_factor"],
         _parse_catalog,
-        lambda e: [e.drug_code, e.opioid_ingredient.value,
-                   "true" if e.is_oral_analgesic_opioid else "false",
-                   fmt_num(e.strength_mg_per_unit), fmt_num(e.mme_factor)],
+        lambda e, text: [e.drug_code, text[e.opioid_ingredient],
+                         "true" if e.is_oral_analgesic_opioid else "false",
+                         text[e.strength_mg_per_unit], text[e.mme_factor]],
         "catalog", unique=True,
     ),
     InputFile(
         "enrollment.csv", ["person_id", "start", "end"], _parse_enrollment,
-        lambda s: [s.person_id, s.start.isoformat(), s.end.isoformat()],
+        lambda s, text: [s.person_id, text[s.start], text[s.end]],
         "enrollment",
     ),
     InputFile(
         "pharmacy.csv", ["person_id", "fill_date", "drug_code", "quantity", "days_supply"],
         _parse_pharmacy,
-        lambda c: [c.person_id, c.fill_date.isoformat(), c.drug_code, fmt_num(c.quantity),
-                   "" if c.days_supply is None else c.days_supply],
+        lambda c, text: [c.person_id, text[c.fill_date], c.drug_code, text[c.quantity],
+                         text[c.days_supply]],
         "pharmacy",
     ),
     InputFile(
@@ -501,18 +519,16 @@ INPUT_FILES = [
          "service_date", "admission_date", "discharge_date", "setting"]
         + [f"dx{i}" for i in range(1, MAX_DIAGNOSES + 1)],
         _parse_medical,
-        lambda c: [
-            c.claim_id, c.person_id, c.provider_id, c.provider_type.value,
-            c.cpt_code, c.service_date.isoformat(),
-            "" if c.admission_date is None else c.admission_date.isoformat(),
-            "" if c.discharge_date is None else c.discharge_date.isoformat(),
-            c.setting.value, *c.diagnoses, *[""] * (MAX_DIAGNOSES - len(c.diagnoses)),
+        lambda c, text: [
+            c.claim_id, c.person_id, c.provider_id, text[c.provider_type],
+            c.cpt_code, text[c.service_date], text[c.admission_date], text[c.discharge_date],
+            text[c.setting], *c.diagnoses, *[""] * (MAX_DIAGNOSES - len(c.diagnoses)),
         ],
         "medical", unique=True,
     ),
     InputFile(
         "persons.csv", ["person_id", "birth_year", "sex"], _parse_persons,
-        lambda d: [d.person_id, d.birth_year, d.sex.value],
+        lambda d, text: [d.person_id, d.birth_year, text[d.sex]],
         "demographics", unique=True,
     ),
 ]
@@ -607,12 +623,13 @@ def write_store(store: ClaimsStore, out_dir: str) -> list[str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    text = TextMemo()
     for f in INPUT_FILES:
         path = os.path.join(out_dir, f.name)
         index = getattr(store, f.index)
         # index[key] is a person's list of records, or one record
         write_csv(path, f.columns, (
-            f.format(r) for key in sorted(index)
+            f.format(r, text) for key in sorted(index)
             for r in (index[key] if isinstance(index[key], list) else [index[key]])
         ))
         written.append(path)

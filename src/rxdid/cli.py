@@ -46,7 +46,9 @@ from .study_analysis import (
     OUTCOMES,
     AnalysisError,
     build_analysis_table,
+    did_design,
     estimate_json,
+    pretrend_design,
     read_analysis_table,
     read_pretrend_json,
     read_report_json,
@@ -281,9 +283,11 @@ def step_describe(args, run: _Run) -> list[str]:
 
 def step_pretrend(args, run: _Run) -> list[str]:
     table = run.table
+    design = pretrend_design(table, run.calendar)  # one design for the four outcomes
     # estimate_json at once, so that no two fits are alive together.
     run.pretrend = {
-        name: estimate_json(run_pretrend(table, name, run.calendar)) for name in OUTCOMES}
+        name: estimate_json(run_pretrend(table, name, run.calendar, design=design))
+        for name in OUTCOMES}
     path = os.path.join(args.out, "pretrend.json")
     write_json(path, run.pretrend)
     return [path]
@@ -302,9 +306,10 @@ def _fit_dump(outcome: str, fit: FitResult) -> str:
 
 def step_did(args, run: _Run) -> list[str]:
     table = run.table
+    design = did_design(table)  # one design for the four outcomes
     did, dumps = {}, []
     for name in OUTCOMES:
-        estimate = run_did(table, name)
+        estimate = run_did(table, name, design=design)
         if args.dump_fit:
             dumps.append(_fit_dump(name, estimate.fit))
         did[name] = estimate_json(estimate)

@@ -13,6 +13,7 @@ from .claims_core import (
     Setting,
     Sex,
     StudyCalendar,
+    TextMemo,
     days_between,
     opioid_fills_in_window,
     read_reference_csv,
@@ -210,11 +211,12 @@ EXCLUSION_COLUMNS = ["reason", "count"]
 
 
 def write_cohort_csv(path: str, rows: list[CohortRow]) -> None:
+    text = TextMemo()
     write_csv(path, COHORT_COLUMNS, (
-        [r.person_id, e.claim.provider_id, r.exposure.value, r.period.value,
-         e.claim.claim_id, e.early_anchor.isoformat(), e.late_anchor.isoformat(),
-         r.age_years, r.sex.value, e.procedure_name,
-         e.claim.setting.value, r.los_category.value, e.claim.provider_type.value]
+        [r.person_id, e.claim.provider_id, text[r.exposure], text[r.period],
+         e.claim.claim_id, text[e.early_anchor], text[e.late_anchor],
+         r.age_years, text[r.sex], e.procedure_name,
+         text[e.claim.setting], text[r.los_category], text[e.claim.provider_type]]
         for r in rows for e in (r.index_event,)
     ))
 

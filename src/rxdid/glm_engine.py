@@ -260,8 +260,42 @@ def _information_inverse(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
+def cluster_codes(cluster_ids) -> tuple[np.ndarray, int]:
+    """Integer codes 0..G-1 of the ids, in the ids' sorted order, and G."""
+    uniq, codes = np.unique(np.asarray(cluster_ids), return_inverse=True)
+    return codes, len(uniq)
+
+
+@dataclass(frozen=True)
+class Design:
+    """A design matrix with what every fit on it shares: the column names,
+    the columns the rank check finds dependent, and the cluster ids with
+    their integer codes. Build one with prepare_design."""
+
+    X: np.ndarray
+    names: list[str]
+    dependent: list[int]
+    cluster_ids: np.ndarray | None = None
+    cluster_codes: np.ndarray | None = None
+    n_clusters: int | None = None
+
+
+def prepare_design(
+    X: np.ndarray, names: list[str] | None = None, cluster_ids: np.ndarray | None = None,
+) -> Design:
+    """Rank-check X and code its cluster ids once, for any number of fits."""
+    X = np.asarray(X, dtype=float)
+    if names is None:
+        names = [f"x{i}" for i in range(X.shape[1])]
+    codes = n_clusters = None
+    if cluster_ids is not None:
+        cluster_ids = np.asarray(cluster_ids)
+        codes, n_clusters = cluster_codes(cluster_ids)
+    return Design(X, list(names), _dependent_columns(X), cluster_ids, codes, n_clusters)
+
+
 def fit_arrays(
-    X: np.ndarray,
+    X: np.ndarray | Design,
     y: np.ndarray,
     family: str,
     names: list[str] | None = None,
@@ -269,20 +303,25 @@ def fit_arrays(
     drop_collinear: bool = False,
     max_iterations: int = MAX_ITERATIONS,
 ) -> FitResult:
-    """IRLS fit on a prebuilt design matrix.
+    """IRLS fit on a prebuilt design matrix, or on a Design, which brings
+    its own names and cluster ids.
 
     Collinear columns raise RankDeficient unless drop_collinear, in which
     case they are removed and reported on the result.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if names is None:
-        names = [f"x{i}" for i in range(X.shape[1])]
     fam = _FAMILIES[family]
     fam.check_response(y)
+    if isinstance(X, Design):
+        if names is not None or cluster_ids is not None:
+            raise TypeError("a Design carries its own names and cluster ids")
+        design = X
+    else:
+        design = prepare_design(X, names, cluster_ids)
 
+    X, names = design.X, design.names
     dropped: list[str] = []
-    bad = _dependent_columns(X)
+    bad = design.dependent
     if bad:
         if not drop_collinear:
             raise RankDeficient([names[i] for i in bad])
@@ -348,14 +387,12 @@ def fit_arrays(
         cluster_ids=None,
         bread=bread,
     )
-    if cluster_ids is not None:
-        result.cluster_ids = np.asarray(cluster_ids)
-        # Group the (string) ids once; regrouping the integer codes in
-        # cluster_robust_cov costs a twentieth of it.
-        uniq, codes = np.unique(result.cluster_ids, return_inverse=True)
-        result.n_clusters = len(uniq)
+    if design.cluster_ids is not None:
+        result.cluster_ids = design.cluster_ids
+        result.n_clusters = design.n_clusters
         if converged:
-            result.robust_cov = cluster_robust_cov(result, codes)
+            result.robust_cov = cluster_robust_cov(
+                result, design.cluster_codes, design.n_clusters)
     return result
 
 
@@ -366,23 +403,33 @@ def _scores(fit_result: FitResult) -> np.ndarray:
     return fit_result.X * resid[:, None]
 
 
-def cluster_robust_cov(fit_result: FitResult, cluster_ids) -> np.ndarray:
+def _cluster_sums(s: np.ndarray, codes: np.ndarray, G: int) -> np.ndarray:
+    """Each cluster's sum of the rows of s (G x p). bincount adds each
+    column's rows in row order, as np.add.at does, so the sums keep its bits."""
+    return np.column_stack([np.bincount(codes, weights=col, minlength=G) for col in s.T])
+
+
+def cluster_robust_cov(
+    fit_result: FitResult, cluster_ids, n_clusters: int | None = None,
+) -> np.ndarray:
     """Sandwich B^-1 M B^-1 over per-cluster score sums.
 
+    With n_clusters, cluster_ids are already the integer codes
+    0..n_clusters-1 that cluster_codes gives, as a Design holds them.
     Finite-sample correction G/(G-1) * (N-1)/(N-p); with singleton
     clusters this collapses to the HC1 factor N/(N-p).
     """
     if not fit_result.converged:
         raise GlmError("cluster_robust_cov requires a converged fit")
     n, p = fit_result.X.shape
-    uniq, inverse = np.unique(np.asarray(cluster_ids), return_inverse=True)
-    G = len(uniq)
+    if n_clusters is None:
+        codes, G = cluster_codes(cluster_ids)
+    else:
+        codes, G = cluster_ids, n_clusters
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
 
-    s = _scores(fit_result)
-    cluster_sums = np.zeros((G, p))
-    np.add.at(cluster_sums, inverse, s)
+    cluster_sums = _cluster_sums(_scores(fit_result), codes, G)
     meat = cluster_sums.T @ cluster_sums
 
     bread = fit_result.bread

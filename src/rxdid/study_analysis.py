@@ -12,8 +12,8 @@ import numpy as np
 from .claims_core import (
     ClaimsStore,
     StudyCalendar,
+    TextMemo,
     days_between,
-    fmt_num,
     load_json,
     read_reference_csv,
     write_csv,
@@ -22,11 +22,13 @@ from .cohort_builder import CohortRow, Exposure, Period
 from .glm_engine import (
     BINOMIAL_LOGIT,
     GAMMA_LOG,
+    Design,
     FitResult,
     NonConvergence,
     confidence_interval,
     fit_arrays,
     marginal_effect,
+    prepare_design,
     wald_test,
 )
 from .measures import (
@@ -104,19 +106,12 @@ def build_analysis_table(
     return _table(ids, flat)
 
 
-def _formatted(values: list[float]) -> list[str]:
-    """fmt_num of each value, each distinct value formatted once. Equal
-    floats have one text (0.0 and -0.0 are both "0"); a NaN equals no key,
-    so each NaN is formatted on its own."""
-    memo: dict[float, str] = {}
-    return [memo[v] if v in memo else memo.setdefault(v, fmt_num(v)) for v in values]
-
-
 def write_analysis_table(path: str, table: dict) -> None:
+    text = TextMemo().__getitem__
     ids = [table[name].tolist() for name in ("person_id", "provider_id")]
-    anchors = [d.isoformat() for d in table["late_anchor"].tolist()]
-    values = [_formatted(table[name].tolist()) for name in _FLOAT_COLUMNS]
-    write_csv(path, ANALYSIS_TABLE_COLUMNS, zip(*ids, anchors, *values))
+    # late_anchor, then the float columns
+    fields = [list(map(text, table[name].tolist())) for name in ANALYSIS_TABLE_COLUMNS[2:]]
+    write_csv(path, ANALYSIS_TABLE_COLUMNS, zip(*ids, *fields))
 
 
 def read_analysis_table(path: str) -> dict:
@@ -177,44 +172,79 @@ def pre_year_index(late_anchor: date, calendar: StudyCalendar) -> int:
     return min(max(int(days // DAYS_PER_YEAR) + 1, 1), 3)
 
 
-def _fit_spec(
+@dataclass(frozen=True)
+class ModelDesign:
+    """One model's design over the table's ``rows`` (a mask or a slice),
+    shared by the fits of every outcome on those rows: the period terms it
+    tests, and either its glm_engine Design or the exposure x period cell
+    that has no rows (then every fit on it is refused)."""
+
+    rows: slice | np.ndarray
+    tested: list[str]
+    design: Design | None
+    empty_cell: str | None = None
+
+
+def _model_design(
     table: dict,
-    outcome: str,
     rows,
     periods: dict[str, np.ndarray],
     covariates: list[str] | None,
-) -> FitResult:
-    """Fit ``outcome`` on [intercept, exposed, *periods, exposed:<period>...,
-    *covariates] over the table's ``rows`` (a mask or a slice).
+) -> ModelDesign:
+    """[intercept, exposed, *periods, exposed:<period>..., *covariates] over
+    the table's ``rows``.
 
     ``periods`` maps each period indicator to its 0/1 column over those
     rows; the rows where every indicator is 0 are the reference period.
     Each exposure group must have rows in the reference period and in each
-    indicator's period, and no exposed:<period> term may be dropped as
-    collinear.
+    indicator's period.
     """
     exposed = table["exposed"][rows]
     columns = list(periods.values())
+    tested = [f"exposed:{name}" for name in periods]
     cells = [(", ".join(f"{name}=0" for name in periods),
               np.logical_and.reduce([col == 0.0 for col in columns]))]
     cells += [(f"{name}=1", col == 1.0) for name, col in periods.items()]
     for e in (0.0, 1.0):
         for label, in_period in cells:
             if not np.any((exposed == e) & in_period):
-                raise DegenerateDesign(
-                    f"{outcome}: empty exposure x period cell (exposed={int(e)}, {label})")
+                return ModelDesign(rows, tested, None, f"exposed={int(e)}, {label}")
 
     covariates = COVARIATE_COLUMNS if covariates is None else covariates
-    tested = [f"exposed:{name}" for name in periods]
     X = np.column_stack([
         np.ones(len(exposed)), exposed, *columns, *(exposed * col for col in columns),
         *(table[name][rows] for name in covariates),
     ])
-    result = fit_arrays(
-        X, table[outcome][rows], OUTCOME_FAMILIES[outcome],
-        names=["intercept", "exposed", *periods, *tested, *covariates],
-        cluster_ids=table["provider_id"][rows], drop_collinear=True,
-    )
+    return ModelDesign(rows, tested, prepare_design(
+        X, ["intercept", "exposed", *periods, *tested, *covariates],
+        table["provider_id"][rows]))
+
+
+def did_design(table: dict, covariates: list[str] | None = None) -> ModelDesign:
+    """The exposure x period design that run_did fits each outcome on."""
+    return _model_design(table, slice(None), {"post": table["post"]}, covariates)
+
+
+def pretrend_design(
+    table: dict, calendar: StudyCalendar, covariates: list[str] | None = None,
+) -> ModelDesign:
+    """The exposure x pre-year design that run_pretrend fits each outcome
+    on; the pre-period rows are binned into years by calendar."""
+    pre = table["post"] == 0.0
+    years = np.array([pre_year_index(d, calendar) for d in table["late_anchor"][pre]])
+    return _model_design(table, pre, {
+        "year2": (years == 2).astype(float), "year3": (years == 3).astype(float),
+    }, covariates)
+
+
+def _fit_spec(table: dict, outcome: str, spec: ModelDesign) -> FitResult:
+    """Fit ``outcome`` on the model's design. A design with an empty
+    exposure x period cell is refused, and no exposed:<period> term may be
+    dropped as collinear."""
+    if spec.empty_cell is not None:
+        raise DegenerateDesign(f"{outcome}: empty exposure x period cell ({spec.empty_cell})")
+    result = fit_arrays(spec.design, table[outcome][spec.rows], OUTCOME_FAMILIES[outcome],
+                        drop_collinear=True)
     if not result.converged:
         last = ", ".join(repr(d) for d in result.deviance_trace[-2:])
         raise NonConvergence(
@@ -222,7 +252,7 @@ def _fit_spec(
             f"iterations; last deviances {last}",
             result.deviance_trace,
         )
-    lost = [term for term in tested if term in result.dropped_columns]
+    lost = [term for term in spec.tested if term in result.dropped_columns]
     if lost:
         raise DegenerateDesign(
             f"{outcome}: {', '.join(lost)} dropped as collinear with the other columns")
@@ -237,9 +267,16 @@ def _term(result: FitResult, term: str) -> YearInteraction:
                            ame.effect, ame.ci_low, ame.ci_high)
 
 
-def run_did(table: dict, outcome: str, covariates: list[str] | None = None) -> DidEstimate:
-    """Exposure x period interaction model with cluster-robust inference."""
-    result = _fit_spec(table, outcome, slice(None), {"post": table["post"]}, covariates)
+def run_did(
+    table: dict, outcome: str, covariates: list[str] | None = None,
+    design: ModelDesign | None = None,
+) -> DidEstimate:
+    """Exposure x period interaction model with cluster-robust inference.
+    ``design`` is did_design(table, covariates), built once when several
+    outcomes are fitted."""
+    if design is None:
+        design = did_design(table, covariates)
+    result = _fit_spec(table, outcome, design)
     term = _term(result, "exposed:post")
     return DidEstimate(
         outcome=outcome,
@@ -261,14 +298,14 @@ def run_did(table: dict, outcome: str, covariates: list[str] | None = None) -> D
 
 def run_pretrend(
     table: dict, outcome: str, calendar: StudyCalendar, covariates: list[str] | None = None,
+    design: ModelDesign | None = None,
 ) -> PretrendResult:
     """Exposure x pre-year interactions, year 1 the reference, with a joint
-    Wald test (df=2); the pre-period rows are binned into years by calendar."""
-    pre = table["post"] == 0.0
-    years = np.array([pre_year_index(d, calendar) for d in table["late_anchor"][pre]])
-    result = _fit_spec(table, outcome, pre, {
-        "year2": (years == 2).astype(float), "year3": (years == 3).astype(float),
-    }, covariates)
+    Wald test (df=2). ``design`` is pretrend_design(table, calendar,
+    covariates), built once when several outcomes are fitted."""
+    if design is None:
+        design = pretrend_design(table, calendar, covariates)
+    result = _fit_spec(table, outcome, design)
     joint = wald_test(result, ["exposed:year2", "exposed:year3"])
     return PretrendResult(
         outcome=outcome,
@@ -349,31 +386,29 @@ def trend_series(
     table: dict, outcome: str, calendar: StudyCalendar,
 ) -> dict[str, list[TrendBin]]:
     """Per-group means over TREND_BIN_DAYS bins of the calendar's pre and
-    post periods; the final partial bin merges into the last full bin."""
-    values = table[outcome].tolist()  # Python floats, so a mean prints as a number
-    out: dict[str, list[TrendBin]] = {}
-    for group, mask in (
-        ("Exposed", table["exposed"] == 1.0),
-        ("Unexposed", table["exposed"] == 0.0),
+    post periods; the final partial bin merges into the last full bin.
+    Each bin adds its values in row order."""
+    days = np.array([d.toordinal() for d in table["late_anchor"].tolist()], dtype=np.int64)
+    starts: list[date] = []
+    # each row's bin in starts; -1 outside both periods, which never overlap
+    key = np.full(len(days), -1)
+    for start, end in (
+        (calendar.pre_start, calendar.pre_end),
+        (calendar.post_start, calendar.post_end),
     ):
-        bins: list[TrendBin] = []
-        for (start, end) in (
-            (calendar.pre_start, calendar.pre_end),
-            (calendar.post_start, calendar.post_end),
-        ):
-            starts = _bin_starts(start, end)
-            sums = [0.0] * len(starts)
-            counts = [0] * len(starts)
-            for i in np.flatnonzero(mask):
-                d = table["late_anchor"][i]
-                if not (start <= d <= end):
-                    continue
-                idx = min(days_between(start, d) // TREND_BIN_DAYS, len(starts) - 1)
-                sums[idx] += values[i]
-                counts[idx] += 1
-            for s, total, n in zip(starts, sums, counts):
-                bins.append(TrendBin(s, n, total / n if n else float("nan")))
-        out[group] = bins
+        period = _bin_starts(start, end)
+        offset = days - start.toordinal()
+        inside = (offset >= 0) & (offset <= days_between(start, end))
+        key[inside] = len(starts) + np.minimum(offset[inside] // TREND_BIN_DAYS, len(period) - 1)
+        starts += period
+    out: dict[str, list[TrendBin]] = {}
+    for group, exposed in (("Exposed", 1.0), ("Unexposed", 0.0)):
+        rows = (key >= 0) & (table["exposed"] == exposed)
+        # lists of Python numbers, so a mean prints as a number
+        sums = np.bincount(key[rows], table[outcome][rows], len(starts)).tolist()
+        counts = np.bincount(key[rows], minlength=len(starts)).tolist()
+        out[group] = [TrendBin(s, n, total / n if n else float("nan"))
+                      for s, total, n in zip(starts, sums, counts)]
     return out
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rxdid.cli as cli
+import rxdid.glm_engine as glm_engine
 import rxdid.study_analysis as sa
 from rxdid.cli import STEPS, main
 from rxdid.glm_engine import fit_arrays
@@ -225,8 +226,8 @@ def test_pretrend_post_only_is_analysis_error(tmp_path, capsys):
     assert "analysis error" in capsys.readouterr().err
 
 
-def test_pretrend_empty_exposed_year3_cell_is_one_line_analysis_error(tmp_path, capsys):
-    # Pre-period rows in years 1-3, but no exposed row in year 3.
+def _no_exposed_year3_table():
+    """Pre-period rows in years 1-3, but no exposed row in year 3."""
     cal = StudyCalendar()
     table = _post_only_table(n=60)
     table["post"][:] = 0.0
@@ -234,14 +235,42 @@ def test_pretrend_empty_exposed_year3_cell_is_one_line_analysis_error(tmp_path, 
     year = np.where(table["exposed"] == 1.0, half % 2, half % 3)
     table["late_anchor"] = np.array(
         [cal.pre_start + timedelta(days=int(y * 365.25) + 100) for y in year], dtype=object)
+    return table
+
+
+def _no_exposed_post_table():
+    """Both groups before, only the unexposed after."""
+    table = _post_only_table(n=60)
+    half = np.arange(60) // 2  # rows alternate unexposed, exposed
+    table["post"] = np.where(table["exposed"] == 1.0, 0.0, half % 2)
+    return table
+
+
+def test_pretrend_empty_exposed_year3_cell_is_one_line_analysis_error(tmp_path, capsys):
     out = str(tmp_path / "r")
     os.makedirs(os.path.join(out, "inputs"))
-    write_analysis_table(os.path.join(out, "analysis_table.csv"), table)
+    write_analysis_table(os.path.join(out, "analysis_table.csv"), _no_exposed_year3_table())
     assert main(["pretrend", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("analysis error: ") and len(err.splitlines()) == 1
     assert "empty exposure x period cell (exposed=1, year3=1)" in err
     assert not os.path.exists(os.path.join(out, "pretrend.json"))
+
+
+@pytest.mark.parametrize("step, table, cell", [
+    ("did", _no_exposed_post_table, "exposed=1, post=1"),
+    ("pretrend", _no_exposed_year3_table, "exposed=1, year3=1"),
+])
+def test_empty_cell_is_the_first_outcomes_one_line_in_either_model(
+        tmp_path, capsys, step, table, cell):
+    # The cell rule runs once per model, and still names the outcome it stops.
+    out = str(tmp_path / "r")
+    os.makedirs(os.path.join(out, "inputs"))
+    write_analysis_table(os.path.join(out, "analysis_table.csv"), table())
+    assert main([step, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"analysis error: persistent_use_90_180: empty exposure x period cell ({cell})\n")
+    assert sorted(os.listdir(out)) == ["analysis_table.csv", "inputs"]
 
 
 def test_did_nonconvergence_is_analysis_error(tmp_path, sim_file, capsys, monkeypatch):
@@ -325,6 +354,17 @@ def _count_in_every_module(monkeypatch, fn):
         if name.startswith("rxdid") and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, counting)
     return calls
+
+
+def test_all_builds_one_design_per_model(tmp_path, sim_file, monkeypatch):
+    # Each model's design is rank-checked once for its four outcomes, while
+    # each outcome is still fitted once through the names the tracer wraps.
+    checks = _count_in_every_module(monkeypatch, glm_engine._dependent_columns)
+    fits = _count_in_every_module(monkeypatch, fit_arrays)
+    dids = _count_in_every_module(monkeypatch, sa.run_did)
+    pretrends = _count_in_every_module(monkeypatch, sa.run_pretrend)
+    assert main(["all", "--out", str(tmp_path / "a"), "--sim", sim_file]) == 0
+    assert (len(checks), len(fits), len(dids), len(pretrends)) == (2, 8, 4, 4)
 
 
 def test_dump_fit_renders_the_fits_did_made(tmp_path, sim_file, monkeypatch):

@@ -19,11 +19,13 @@ from rxdid.glm_engine import (
     SingularSubmatrix,
     TooFewClusters,
     WaldResult,
+    cluster_codes,
     cluster_robust_cov,
     confidence_interval,
     fit_arrays,
     hc1_cov,
     marginal_effect,
+    prepare_design,
     wald_test,
 )
 
@@ -231,6 +233,66 @@ def test_too_few_clusters():
     res, _ = _clustered_fit()
     with pytest.raises(TooFewClusters):
         cluster_robust_cov(res, np.zeros(res.n_obs))
+
+
+@st.composite
+def _clustered_scores(draw):
+    """Scores over uneven clusters, singletons among them, in a random row
+    order, with magnitudes spread so that the order of a sum shows."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=25))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    s = rng.normal(size=(len(codes), p)) * 10.0 ** rng.integers(-8, 9, size=(len(codes), p))
+    return s, codes, len(sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clustered_scores())
+def test_cluster_sums_keep_the_bits_of_add_at(case):
+    s, codes, G = case
+    expected = np.zeros((G, s.shape[1]))
+    np.add.at(expected, codes, s)
+    got = glm_engine._cluster_sums(s, codes, G)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_cluster_robust_cov_same_on_string_ids_and_their_codes():
+    # uneven clusters and singletons, ids whose sorted order is not the row order
+    sizes = [1, 1, 2, 3, 5, 8, 13, 21, 34, 1, 55, 6]
+    cid = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(cid)
+    x = RNG.normal(size=n)
+    y = (RNG.random(n) < 1 / (1 + np.exp(-(0.3 + 0.8 * x)))).astype(float)
+    X = np.column_stack([np.ones(n), x])
+    ids = np.array([f"dr{(7 * c) % len(sizes)}" for c in cid], dtype=object)
+    res = fit_arrays(X, y, BINOMIAL_LOGIT, cluster_ids=ids)
+    codes, G = cluster_codes(ids)
+    assert G == len(sizes) and res.n_clusters == G
+    coded = cluster_robust_cov(res, codes, G)
+    assert coded.tobytes() == cluster_robust_cov(res, ids).tobytes()
+    assert coded.tobytes() == res.robust_cov.tobytes()
+
+
+def test_fit_on_a_design_reuses_its_rank_check_and_codes(monkeypatch):
+    res, cid = _clustered_fit()
+    names = ["intercept", "x"]
+    responses = {BINOMIAL_LOGIT: res.y, GAMMA_LOG: res.y + 1.0}
+    own = {family: fit_arrays(res.X, y, family, names=names, cluster_ids=cid)
+           for family, y in responses.items()}
+    design = prepare_design(res.X, names, cid)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a fit on a Design rank-checks or codes its clusters again")
+    monkeypatch.setattr(glm_engine, "_dependent_columns", refused)
+    monkeypatch.setattr(glm_engine, "cluster_codes", refused)
+    for family, y in responses.items():
+        shared = fit_arrays(design, y, family)
+        assert shared.names == names and shared.n_clusters == own[family].n_clusters
+        for field in ("coefficients", "model_cov", "robust_cov"):
+            assert getattr(shared, field).tobytes() == getattr(own[family], field).tobytes()
+    with pytest.raises(TypeError):
+        fit_arrays(design, res.y, BINOMIAL_LOGIT, names=names)
 
 
 @pytest.mark.parametrize("family", [BINOMIAL_LOGIT, GAMMA_LOG])

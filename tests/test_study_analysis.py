@@ -2,20 +2,27 @@
 import functools
 import json
 import math
-from datetime import timedelta
+import os
+import tempfile
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rxdid.study_analysis as sa
 from rxdid.claims_core import StudyCalendar, write_json
 from rxdid.glm_engine import NonConvergence, fit_arrays
 from rxdid.study_analysis import (
+    TREND_BIN_DAYS,
     DegenerateDesign,
     ZeroVariance,
+    did_design,
+    estimate_json,
     format_effect,
     format_p,
     pre_year_index,
+    pretrend_design,
     render_report_from_estimates,
     run_did,
     run_pretrend,
@@ -202,6 +209,31 @@ def test_pretrend_empty_exposure_year_cell_is_degenerate(exposed, year):
         run_pretrend(table, "initial_mme_7d", CAL, covariates=[])
 
 
+def test_a_shared_design_gives_each_outcome_its_own_estimate():
+    table = _pretrend_table()
+    n = len(table["exposed"])
+    table["post"] = (np.arange(n) % 2).astype(float)
+    table["total_mme_30d"] = table["initial_mme_7d"] * 1.5 + RNG.gamma(2.0, 10.0, n)
+    outcomes = ["initial_mme_7d", "total_mme_30d"]
+    did = did_design(table, covariates=[])
+    pre = pretrend_design(table, CAL, covariates=[])
+    for outcome in outcomes:
+        assert estimate_json(run_did(table, outcome, design=did)) == estimate_json(
+            run_did(table, outcome, covariates=[]))
+        assert estimate_json(run_pretrend(table, outcome, CAL, design=pre)) == estimate_json(
+            run_pretrend(table, outcome, CAL, covariates=[]))
+
+
+def test_design_with_an_empty_cell_refuses_every_outcome():
+    table = _binary_table([(1, 0, 50, 10), (0, 0, 50, 10), (0, 1, 50, 10)])
+    table["initial_mme_7d"] = np.full(len(table["exposed"]), 100.0)
+    design = did_design(table, covariates=[])
+    for outcome in ("any_refill_30d", "initial_mme_7d"):
+        with pytest.raises(DegenerateDesign) as e:
+            run_did(table, outcome, design=design)
+        assert str(e.value) == f"{outcome}: empty exposure x period cell (exposed=1, post=1)"
+
+
 def test_did_and_pretrend_share_one_design_builder():
     table = _pretrend_table()
     table["post"] = (np.arange(len(table["exposed"])) % 2).astype(float)
@@ -275,6 +307,111 @@ def test_trend_weighted_mean_identity():
         num = sum(b.mean * b.n for b in series[group] if b.n)
         den = sum(b.n for b in series[group])
         assert num / den == pytest.approx(grand, abs=1e-12)
+
+
+def _trend_series_by_row(table, outcome, calendar):
+    """The per-row loop trend_series replaced: the reference its bins must
+    equal bit for bit."""
+    values = table[outcome].tolist()
+    out = {}
+    for group, mask in (
+        ("Exposed", table["exposed"] == 1.0),
+        ("Unexposed", table["exposed"] == 0.0),
+    ):
+        bins = []
+        for (start, end) in (
+            (calendar.pre_start, calendar.pre_end),
+            (calendar.post_start, calendar.post_end),
+        ):
+            n_full = max(((end - start).days + 1) // TREND_BIN_DAYS, 1)
+            starts = [start + timedelta(days=i * TREND_BIN_DAYS) for i in range(n_full)]
+            sums = [0.0] * len(starts)
+            counts = [0] * len(starts)
+            for i in np.flatnonzero(mask):
+                d = table["late_anchor"][i]
+                if not (start <= d <= end):
+                    continue
+                idx = min((d - start).days // TREND_BIN_DAYS, len(starts) - 1)
+                sums[idx] += values[i]
+                counts[idx] += 1
+            for s, total, n in zip(starts, sums, counts):
+                bins.append((s, n, total / n if n else float("nan")))
+        out[group] = bins
+    return out
+
+
+# A calendar whose periods are shorter than one bin: one bin each, the partial one.
+SHORT_CAL = StudyCalendar(date(2012, 1, 1), date(2012, 2, 15), date(2012, 3, 1), date(2012, 3, 2))
+
+
+@st.composite
+def _trend_tables(draw):
+    """Rows anchored before pre, in pre (its merged tail too), in the
+    washout, in post and after post, with values whose order of addition shows."""
+    cal = draw(st.sampled_from([CAL, SHORT_CAL]))
+    pre_days = (cal.pre_end - cal.pre_start).days
+    regions = {
+        "before": (cal.pre_start - timedelta(days=60), cal.pre_start - timedelta(days=1)),
+        "pre": (cal.pre_start, cal.pre_end),
+        "pre_tail": (cal.pre_start + timedelta(days=pre_days - pre_days % TREND_BIN_DAYS),
+                     cal.pre_end),
+        "washout": (cal.pre_end + timedelta(days=1), cal.post_start - timedelta(days=1)),
+        "post": (cal.post_start, cal.post_end),
+        "after": (cal.post_end + timedelta(days=1), cal.post_end + timedelta(days=60)),
+    }
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from([0.0, 1.0, 0.5]),
+        st.sampled_from(sorted(regions)),
+        # a few shared positions put several rows into one bin
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+        st.sampled_from([0.1, 0.2, 0.3, 1.0, 1e16, -1e16, 1e-17, -0.0])
+        | st.floats(-1e6, 1e6, allow_nan=False),
+    ), max_size=80))
+    anchors = []
+    for _, region, where, _ in rows:
+        first, last = regions[region]
+        anchors.append(first + timedelta(days=round(where * (last - first).days)))
+    table = {
+        "exposed": np.array([r[0] for r in rows]),
+        "any_refill_30d": np.array([r[3] for r in rows]),
+        "late_anchor": np.array(anchors, dtype=object),
+    }
+    return table, cal
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trend_tables())
+def test_trend_series_equals_the_per_row_loop_bit_for_bit(case):
+    table, cal = case
+    series = trend_series(table, "any_refill_30d", cal)
+    expected = _trend_series_by_row(table, "any_refill_30d", cal)
+    assert list(series) == list(expected)
+    for group, bins in series.items():
+        assert [(b.bin_start, b.n, repr(b.mean)) for b in bins] == [
+            (s, n, repr(mean)) for s, n, mean in expected[group]]
+        assert all(type(b.mean) is float and type(b.n) is int for b in bins)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "trends.csv")
+        write_trends_csv(path, series)
+        with open(path, encoding="utf-8") as f:
+            assert "np.float64(" not in f.read()
+
+
+def test_trend_tables_reach_empty_bins_and_the_merged_tail():
+    # The cases the property test is for, on one fixed table.
+    pre_days = (CAL.pre_end - CAL.pre_start).days
+    anchors = [CAL.pre_start - timedelta(days=1), CAL.pre_start,
+               CAL.pre_start + timedelta(days=pre_days), CAL.pre_end + timedelta(days=1),
+               CAL.post_start, CAL.post_end + timedelta(days=1)]
+    table = {
+        "exposed": np.ones(len(anchors)),
+        "any_refill_30d": np.arange(1.0, len(anchors) + 1),
+        "late_anchor": np.array(anchors, dtype=object),
+    }
+    bins = trend_series(table, "any_refill_30d", CAL)["Exposed"]
+    assert [b.n for b in bins] == [1] + [0] * 10 + [1] + [1, 0, 0, 0]
+    assert (bins[0].mean, bins[11].mean, bins[12].mean) == (2.0, 3.0, 5.0)
+    assert math.isnan(bins[1].mean)
 
 
 def test_trends_csv_means_are_plain_numbers(tmp_path):
