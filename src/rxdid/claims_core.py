@@ -142,15 +142,13 @@ class StudyCalendar:
         return cls(**values)
 
 
-@dataclass(frozen=True, slots=True)
-class EnrollmentSpan:
+class EnrollmentSpan(NamedTuple):
     person_id: str
     start: date
     end: date
 
 
-@dataclass(frozen=True, slots=True)
-class PharmacyClaim:
+class PharmacyClaim(NamedTuple):
     person_id: str
     fill_date: date
     drug_code: str
@@ -158,8 +156,7 @@ class PharmacyClaim:
     days_supply: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class MedicalClaim:
+class MedicalClaim(NamedTuple):
     claim_id: str
     person_id: str
     provider_id: str
@@ -172,15 +169,13 @@ class MedicalClaim:
     diagnoses: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PersonDemographics:
+class PersonDemographics(NamedTuple):
     person_id: str
     birth_year: int
     sex: Sex
 
 
-@dataclass(frozen=True, slots=True)
-class DrugCatalogEntry:
+class DrugCatalogEntry(NamedTuple):
     drug_code: str
     opioid_ingredient: OpioidIngredient
     is_oral_analgesic_opioid: bool
@@ -248,7 +243,10 @@ MAX_DIAGNOSES = 10
 
 @dataclass
 class ClaimsStore:
-    """Immutable post-parse store, indexed by person.
+    """The records of one run, indexed by person (catalog entries by drug
+    code), as store_from_records builds them; parse_inputs then sets
+    ``rejected``. The records are immutable; the store and its lists are
+    not, and no step of the pipeline changes them after they are built.
 
     All index lists are sorted canonically so downstream results do not
     depend on input row order.

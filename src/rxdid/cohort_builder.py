@@ -3,8 +3,8 @@ exclusion audit trail."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from datetime import date, timedelta
+from typing import NamedTuple
 
 from .claims_core import (
     ClaimsStore,
@@ -88,8 +88,7 @@ def los_category(claim: MedicalClaim) -> LosCategory:
     return LosCategory.THREE_PLUS
 
 
-@dataclass(frozen=True, slots=True)
-class CohortRow:
+class CohortRow(NamedTuple):
     """An included person; the index event carries the procedure, its
     claim (provider, setting) and anchors."""
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import timedelta
+from typing import NamedTuple
 
 from .claims_core import (
     ClaimsError,
@@ -42,8 +43,7 @@ class InvalidComorbidityMap(ClaimsError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class OutcomeVector:
+class OutcomeVector(NamedTuple):
     persistent_use_90_180: bool
     initial_mme_7d: float
     any_refill_30d: bool

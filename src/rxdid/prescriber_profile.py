@@ -5,6 +5,7 @@ import enum
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
+from typing import NamedTuple
 
 from .claims_core import (
     ClaimsError,
@@ -102,8 +103,7 @@ class ProviderClass(str, enum.Enum):
     INSUFFICIENT = "Insufficient"
 
 
-@dataclass(frozen=True, slots=True)
-class IndexEvent:
+class IndexEvent(NamedTuple):
     """One surgical episode: the procedure claim, its anchors, and the
     oral-analgesic opioid fills on its first fill day within
     OPIOID_FILL_WINDOW_DAYS of the late anchor."""
@@ -115,8 +115,7 @@ class IndexEvent:
     first_opioid_fills: tuple[PharmacyClaim, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ProviderProfile:
+class ProviderProfile(NamedTuple):
     provider_id: str
     provider_type: ProviderType
     n_events: int

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+from bisect import bisect
 from dataclasses import dataclass, field, fields, asdict
 from datetime import timedelta
 
@@ -207,6 +208,30 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+# Two draws of random.py's Python layer, copied so that each costs generate()
+# one call instead of three (see its docstring for the tests that pin them).
+
+def randbelow(getrandbits, n: int) -> int:
+    """``Random.randrange(n)`` for an int n >= 1, given that generator's
+    ``getrandbits``: draw n.bit_length() bits until the value is below n
+    (``Random._randbelow_with_getrandbits``). ``randint(a, b)`` is
+    ``a + randbelow(getrandbits, b - a + 1)``."""
+    if n < 1:
+        raise ValueError(f"empty range for randbelow: {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def weighted_index(random, cum_weights: list) -> int:
+    """The index ``Random.choices(population, cum_weights=cum_weights)[0]``
+    picks, given that generator's ``random``: one draw, bisected into the
+    cumulative weights (whose total must be positive and finite)."""
+    return bisect(cum_weights, random() * (cum_weights[-1] + 0.0), 0, len(cum_weights) - 1)
+
+
 # generate() looks dates up by day offset in a table that reaches this far
 # before the study's first day and after its last. Every generated date
 # lies well inside: enrollment starts at most 179 days before a service
@@ -223,19 +248,27 @@ def generate(
     plus ground_truth.json under out_dir.
 
     One ``random.Random(config.seed)`` makes every draw, through its public
-    methods only. The draws, their order and their count per provider,
-    quarter and person are part of the generated data, as much as the
-    records are: a change that adds, drops or reorders one draw re-draws
-    every later person, and with them the fixed-seed effect-recovery and
-    type-I studies of the acceptance suite. A Bernoulli trial is one
-    ``random()`` draw whatever its probability, so a rate of 0 or 1 still
-    consumes it.
+    methods only: ``random``, ``getrandbits``, ``betavariate`` and
+    ``gammavariate``. The integer and procedure draws copy two algorithms
+    of CPython's random.py onto those methods: ``randbelow`` is
+    ``randrange``/``randint`` (``getrandbits`` until the value is below n)
+    and ``weighted_index`` is ``choices(cum_weights=...)`` (a bisect of
+    ``random() * total``). ``test_randbelow_matches_randrange_and_randint``
+    and ``test_weighted_index_matches_choices`` in tests/test_synthgen.py
+    pin them to the running interpreter's library, and the digests of
+    tests/test_generator_golden.py pin the stream. The draws, their order
+    and their count per provider, quarter and person are part of the
+    generated data, as much as the records are: a change that adds, drops
+    or reorders one draw re-draws every later person, and with them the
+    fixed-seed effect-recovery and type-I studies of the acceptance suite.
+    A Bernoulli trial is one ``random()`` draw whatever its probability,
+    so a rate of 0 or 1 still consumes it.
     """
     config.validate()
     calendar = calendar or StudyCalendar()
     rng = random.Random(config.seed)
     rnd = rng.random
-    randrange, randint = rng.randrange, rng.randint
+    bits = rng.getrandbits
 
     providers = []
     strata: dict[str, str] = {}
@@ -303,11 +336,11 @@ def generate(
             for _ in range(n_patients):
                 person_counter += 1
                 person_id = f"p{person_counter:07d}"
-                service = q_start + randrange(q_days)
+                service = q_start + randbelow(bits, q_days)
 
-                cpt, inpatient_prob = rng.choices(procedures, cum_weights=proc_cum_weights)[0]
+                cpt, inpatient_prob = procedures[weighted_index(rnd, proc_cum_weights)]
                 if rnd() < inpatient_prob:
-                    late = service + randint(1, 4)
+                    late = service + 1 + randbelow(bits, 4)
                     admission, discharge = dates[service], dates[late]
                     setting = Setting.INPATIENT
                 else:
@@ -315,18 +348,21 @@ def generate(
                     admission = discharge = None
                     setting = Setting.AMBULATORY
 
-                age = randint(10, 17) if rnd() < config.underage_rate else randint(18, 85)
+                if rnd() < config.underage_rate:
+                    age = 10 + randbelow(bits, 8)
+                else:
+                    age = 18 + randbelow(bits, 68)
                 sex = Sex.FEMALE if rnd() < config.sex_female_prob else Sex.MALE
                 persons.append(PersonDemographics(person_id, dates[late].year - age, sex))
 
                 # Enrollment; a configured fraction gets a disqualifying gap.
-                start = service - 120 - randrange(60)
-                end = late + 200 + randrange(60)
+                start = service - 120 - randbelow(bits, 60)
+                end = late + 200 + randbelow(bits, 60)
                 if rnd() < config.enrollment_gap_rate:
                     if rnd() < 0.5:
-                        start = service - randrange(30, 80)
+                        start = service - 30 - randbelow(bits, 50)
                     else:
-                        end = late + randrange(30, 170)
+                        end = late + 30 + randbelow(bits, 140)
                 spans.append(EnrollmentSpan(person_id, dates[start], dates[end]))
 
                 claim_counter += 1
@@ -352,7 +388,7 @@ def generate(
                     ))
                 if rnd() < config.prior_opioid_rate:
                     pharmacy.append(PharmacyClaim(
-                        person_id, dates[service - randint(10, 80)], "HYD5", 10.0, 5,
+                        person_id, dates[service - 10 - randbelow(bits, 71)], "HYD5", 10.0, 5,
                     ))
 
                 if rnd() < config.no_fill_rate:
@@ -373,9 +409,9 @@ def generate(
                 if rnd() < pref:
                     drug = "HYD5" if rnd() < 0.6 else "HYD10"
                 else:
-                    drug = NON_HYDRO_CODES[randrange(len(NON_HYDRO_CODES))]
+                    drug = NON_HYDRO_CODES[randbelow(bits, len(NON_HYDRO_CODES))]
                 quantity = max(1, round(target / mme_per_unit[drug]))
-                fill_offset = randint(0, 4)
+                fill_offset = randbelow(bits, 5)
                 pharmacy.append(PharmacyClaim(
                     person_id, dates[late + fill_offset], drug, float(quantity), 5,
                 ))
@@ -383,15 +419,15 @@ def generate(
 
                 logit = refill_logit + trend_refill * years + effect_refill
                 if rnd() < 1.0 / (1.0 + math.exp(-logit)):
+                    refill = late + fill_offset + 1 + randbelow(bits, 30 - fill_offset)
                     pharmacy.append(PharmacyClaim(
-                        person_id, dates[late + randint(fill_offset + 1, 30)], drug,
-                        later_quantity, 5,
+                        person_id, dates[refill], drug, later_quantity, 5,
                     ))
 
                 logit = persistence_logit + trend_persistence * years + effect_persistence
                 if rnd() < 1.0 / (1.0 + math.exp(-logit)):
                     pharmacy.append(PharmacyClaim(
-                        person_id, dates[late + randint(90, 180)], drug, later_quantity, 5,
+                        person_id, dates[late + 90 + randbelow(bits, 91)], drug, later_quantity, 5,
                     ))
 
     store = store_from_records(

@@ -2,7 +2,7 @@
 the measured quantity at the stated tolerance.
 
 Criteria 4 and 5 run hundreds of seeded simulations and dominate runtime;
-everything else completes in seconds.
+they are marked ``slow``. Everything else completes in seconds.
 """
 import json
 import math
@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from rxdid.claims_core import StudyCalendar
@@ -124,6 +125,7 @@ def _analysis_table(config):
 
 # 4. Effect recovery ----------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_effect_recovery():
     start = time.time()
     target = math.log(0.7)
@@ -151,6 +153,7 @@ def test_criterion_4_effect_recovery():
 
 # 5. Type-I control and pre-trend uniformity ----------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_type_i_and_pretrend_uniformity():
     rejections = 0
     pvals = []

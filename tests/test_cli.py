@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -569,6 +570,42 @@ def test_bad_reference_file_is_one_line_validation_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert len(err.splitlines()) == 1
+
+
+
+# The files classify through trends derive from the inputs.
+DERIVED_FILES = [
+    "profiles.csv", "cohort.csv", "exclusions.csv", "analysis_table.csv",
+    "table_one.csv", "pretrend.json", "did.json",
+] + [f"trends_{o}.csv" for o in (
+    "any_refill_30d", "initial_mme_7d", "persistent_use_90_180", "total_mme_30d")]
+
+
+@pytest.mark.parametrize("order", [
+    lambda rows: rows[::-1],
+    lambda rows: random.Random(20191).sample(rows, len(rows)),
+], ids=["reversed", "shuffled"])
+def test_input_row_order_changes_no_derived_file(tmp_path, sim_file, order):
+    # The store sorts each person's records, the cohort is sorted by person
+    # and the cluster codes come from np.unique, so no output may depend on
+    # the order of the rows in any input CSV.
+    runs = {name: str(tmp_path / name) for name in ("written", "permuted")}
+    assert main(["simulate", "--out", runs["written"], "--sim", sim_file]) == 0
+    inputs = os.path.join(runs["permuted"], "inputs")
+    os.makedirs(inputs)
+    for name in os.listdir(os.path.join(runs["written"], "inputs")):
+        with open(os.path.join(runs["written"], "inputs", name), newline="") as f:
+            header, *rows = f.readlines()
+        permuted = order(rows)
+        assert permuted != rows or len(rows) == 1, name   # some row is out of place
+        with open(os.path.join(inputs, name), "w", newline="") as f:
+            f.writelines([header, *permuted])
+    for out in runs.values():
+        for step in ["classify", "cohort", "describe", "pretrend", "did", "trends"]:
+            assert main([step, "--out", out]) == 0, (out, step)
+    tree = {name: _tree_bytes(out) for name, out in runs.items()}
+    for rel in DERIVED_FILES:
+        assert tree["permuted"][rel] == tree["written"][rel], rel
 
 
 # sha256 of the run-directory files that no BLAS call touches, for SIM_CFG.

@@ -492,7 +492,31 @@ def test_cohort_rules_equal_the_plain_reference(store):
         store, _PROFILES, CAL, codes)
 
 
+# Each record's fields in the order the parsers, the generator and the
+# tests pass them positionally; a reordered field would swap values silently.
+RECORD_FIELDS = {
+    EnrollmentSpan: ("person_id", "start", "end"),
+    PharmacyClaim: ("person_id", "fill_date", "drug_code", "quantity", "days_supply"),
+    MedicalClaim: ("claim_id", "person_id", "provider_id", "provider_type", "cpt_code",
+                   "service_date", "admission_date", "discharge_date", "setting",
+                   "diagnoses"),
+    PersonDemographics: ("person_id", "birth_year", "sex"),
+    DrugCatalogEntry: ("drug_code", "opioid_ingredient", "is_oral_analgesic_opioid",
+                       "strength_mg_per_unit", "mme_factor"),
+    IndexEvent: ("procedure_name", "claim", "early_anchor", "late_anchor",
+                 "first_opioid_fills"),
+    ProviderProfile: ("provider_id", "provider_type", "n_events", "n_hydrocodone",
+                      "hydrocodone_share", "provider_class"),
+    CohortRow: ("person_id", "exposure", "period", "index_event", "age_years", "sex",
+                "los_category"),
+    OutcomeVector: ("persistent_use_90_180", "initial_mme_7d", "any_refill_30d",
+                    "total_mme_30d"),
+}
+
+
 def test_records_are_slotted():
+    # Immutable and hashable, without a per-instance __dict__, and with the
+    # fields above in that order.
     store = golden_fixture()
     rows, _ = _cohort(store)
     event = rows[0].index_event
@@ -501,5 +525,19 @@ def test_records_are_slotted():
         store.demographics["inc_pre_e1"], store.catalog["HYD5"], event,
         _PROFILES["drP"], rows[0], compute_outcomes(rows[0], store),
     ]
-    assert isinstance(records[-1], OutcomeVector)
-    assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
+    assert [type(r) for r in records] == list(RECORD_FIELDS)
+    for record in records:
+        cls = type(record)
+        assert cls._fields == RECORD_FIELDS[cls], cls.__name__
+        assert not hasattr(record, "__dict__"), cls.__name__
+        assert {record, cls(*record)} == {record}
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert record == cls(**{name: getattr(record, name) for name in cls._fields})
+    defaults = {cls.__name__: cls._field_defaults for cls in RECORD_FIELDS if cls._field_defaults}
+    assert defaults == {"PharmacyClaim": {"days_supply": None}}

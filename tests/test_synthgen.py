@@ -1,9 +1,12 @@
 """Synthetic-claims generator: determinism, calibration, truth checks."""
 import dataclasses
+import itertools
 import math
 import os
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rxdid.claims_core import StudyCalendar
 from rxdid.cohort_builder import build_cohort
@@ -24,7 +27,9 @@ from rxdid.synthgen import (
     SimConfig,
     generate,
     load_ground_truth,
+    randbelow,
     truth_check,
+    weighted_index,
 )
 
 CAL = StudyCalendar()
@@ -224,3 +229,49 @@ def test_generated_store_equals_parsed_written_inputs(tmp_path):
     assert parsed.demographics == store.demographics
     assert parsed.catalog == store.catalog
     assert parsed.parsed_counts == store.parsed_counts
+
+
+# -- the two draws copied from random.py ---------------------------------------
+# generate() draws integers and procedures through randbelow and
+# weighted_index, not through Random.randrange/randint/choices. Each must
+# give the library's value and leave the generator in the library's state,
+# on the interpreter that runs the tests; a Python whose random.py draws
+# otherwise fails here by name.
+
+_SEEDS = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEEDS, st.lists(st.integers(1, 5000), min_size=1, max_size=20), st.integers(-200, 200))
+def test_randbelow_matches_randrange_and_randint(seed, sizes, low):
+    ours, library = random.Random(seed), random.Random(seed)
+    for n in sizes:
+        assert randbelow(ours.getrandbits, n) == library.randrange(n)
+        assert low + randbelow(ours.getrandbits, n) == library.randint(low, low + n - 1)
+        assert low + randbelow(ours.getrandbits, n) == library.randrange(low, low + n)
+    assert ours.getstate() == library.getstate()
+
+
+def test_randbelow_refuses_an_empty_range():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            randbelow(random.Random(0).getrandbits, n)
+
+
+_WEIGHTS = st.one_of(
+    st.lists(st.integers(0, 50), min_size=1, max_size=12),
+    st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=12),
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEEDS, _WEIGHTS, st.integers(1, 20))
+def test_weighted_index_matches_choices(seed, weights, draws):
+    population = [f"item{i}" for i in range(len(weights))]
+    cum_weights = list(itertools.accumulate(weights))
+    ours, library = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        assert (population[weighted_index(ours.random, cum_weights)]
+                == library.choices(population, cum_weights=cum_weights)[0])
+    assert ours.getstate() == library.getstate()
+
