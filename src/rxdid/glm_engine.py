@@ -22,12 +22,6 @@ class GlmError(Exception):
     pass
 
 
-class RankDeficient(GlmError):
-    def __init__(self, columns: list[str]):
-        self.columns = columns
-        super().__init__(f"design matrix rank deficient; dependent columns: {columns}")
-
-
 class SeparationSuspected(GlmError):
     pass
 
@@ -167,13 +161,12 @@ class FitResult:
     n_iterations: int
     converged: bool
     n_obs: int
-    n_clusters: int | None
+    n_clusters: int
     dropped_columns: list[str] = field(default_factory=list)
     deviance_trace: list[float] = field(default_factory=list)
     X: np.ndarray | None = None
     y: np.ndarray | None = None
     mu: np.ndarray | None = None
-    cluster_ids: np.ndarray | None = None
     # (X'WX)^-1 at the final mu: the sandwich bread, and model_cov up to
     # the dispersion
     bread: np.ndarray | None = None
@@ -269,64 +262,36 @@ def cluster_codes(cluster_ids) -> tuple[np.ndarray, int]:
 @dataclass(frozen=True)
 class Design:
     """A design matrix with what every fit on it shares: the column names,
-    the columns the rank check finds dependent, and the cluster ids with
-    their integer codes. Build one with prepare_design."""
+    the columns the rank check finds dependent, and the integer codes of
+    the rows' clusters. Build one with prepare_design."""
 
     X: np.ndarray
     names: list[str]
     dependent: list[int]
-    cluster_ids: np.ndarray | None = None
-    cluster_codes: np.ndarray | None = None
-    n_clusters: int | None = None
+    cluster_codes: np.ndarray
+    n_clusters: int
 
 
-def prepare_design(
-    X: np.ndarray, names: list[str] | None = None, cluster_ids: np.ndarray | None = None,
-) -> Design:
+def prepare_design(X: np.ndarray, names: list[str], cluster_ids) -> Design:
     """Rank-check X and code its cluster ids once, for any number of fits."""
     X = np.asarray(X, dtype=float)
-    if names is None:
-        names = [f"x{i}" for i in range(X.shape[1])]
-    codes = n_clusters = None
-    if cluster_ids is not None:
-        cluster_ids = np.asarray(cluster_ids)
-        codes, n_clusters = cluster_codes(cluster_ids)
-    return Design(X, list(names), _dependent_columns(X), cluster_ids, codes, n_clusters)
+    codes, n_clusters = cluster_codes(cluster_ids)
+    return Design(X, list(names), _dependent_columns(X), codes, n_clusters)
 
 
-def fit_arrays(
-    X: np.ndarray | Design,
-    y: np.ndarray,
-    family: str,
-    names: list[str] | None = None,
-    cluster_ids: np.ndarray | None = None,
-    drop_collinear: bool = False,
-    max_iterations: int = MAX_ITERATIONS,
-) -> FitResult:
-    """IRLS fit on a prebuilt design matrix, or on a Design, which brings
-    its own names and cluster ids.
-
-    Collinear columns raise RankDeficient unless drop_collinear, in which
-    case they are removed and reported on the result.
+def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
+    """IRLS fit on a Design, with the cluster-robust covariance of a
+    converged fit. The design's dependent columns are dropped from the fit
+    and listed in dropped_columns.
     """
     y = np.asarray(y, dtype=float)
     fam = _FAMILIES[family]
     fam.check_response(y)
-    if isinstance(X, Design):
-        if names is not None or cluster_ids is not None:
-            raise TypeError("a Design carries its own names and cluster ids")
-        design = X
-    else:
-        design = prepare_design(X, names, cluster_ids)
 
     X, names = design.X, design.names
-    dropped: list[str] = []
-    bad = design.dependent
-    if bad:
-        if not drop_collinear:
-            raise RankDeficient([names[i] for i in bad])
-        dropped = [names[i] for i in bad]
-        keep = [i for i in range(X.shape[1]) if i not in bad]
+    dropped = [names[i] for i in design.dependent]
+    if dropped:
+        keep = [i for i in range(X.shape[1]) if i not in design.dependent]
         X = X[:, keep]
         names = [names[i] for i in keep]
 
@@ -338,7 +303,7 @@ def fit_arrays(
     converged = False
     beta = np.zeros(p)
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         w = fam.irls_weights(mu)
         z = fam.working_response(eta, y, mu)
         beta = _wls_step(X, w, z)
@@ -378,21 +343,16 @@ def fit_arrays(
         n_iterations=iterations,
         converged=converged,
         n_obs=n,
-        n_clusters=None,
+        n_clusters=design.n_clusters,
         dropped_columns=dropped,
         deviance_trace=trace,
         X=X,
         y=y,
         mu=mu,
-        cluster_ids=None,
         bread=bread,
     )
-    if design.cluster_ids is not None:
-        result.cluster_ids = design.cluster_ids
-        result.n_clusters = design.n_clusters
-        if converged:
-            result.robust_cov = cluster_robust_cov(
-                result, design.cluster_codes, design.n_clusters)
+    if converged:
+        result.robust_cov = cluster_robust_cov(result, design.cluster_codes, design.n_clusters)
     return result
 
 
@@ -409,23 +369,17 @@ def _cluster_sums(s: np.ndarray, codes: np.ndarray, G: int) -> np.ndarray:
     return np.column_stack([np.bincount(codes, weights=col, minlength=G) for col in s.T])
 
 
-def cluster_robust_cov(
-    fit_result: FitResult, cluster_ids, n_clusters: int | None = None,
-) -> np.ndarray:
+def cluster_robust_cov(fit_result: FitResult, codes: np.ndarray, G: int) -> np.ndarray:
     """Sandwich B^-1 M B^-1 over per-cluster score sums.
 
-    With n_clusters, cluster_ids are already the integer codes
-    0..n_clusters-1 that cluster_codes gives, as a Design holds them.
-    Finite-sample correction G/(G-1) * (N-1)/(N-p); with singleton
-    clusters this collapses to the HC1 factor N/(N-p).
+    codes are the rows' integer cluster codes 0..G-1, as cluster_codes
+    gives them and a Design holds them. Finite-sample correction
+    G/(G-1) * (N-1)/(N-p); with singleton clusters this collapses to the
+    HC1 factor N/(N-p).
     """
     if not fit_result.converged:
         raise GlmError("cluster_robust_cov requires a converged fit")
     n, p = fit_result.X.shape
-    if n_clusters is None:
-        codes, G = cluster_codes(cluster_ids)
-    else:
-        codes, G = cluster_ids, n_clusters
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
 
@@ -536,6 +490,9 @@ def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     CI_LEVEL interval by the delta method on the robust covariance. A term
     the fit lacks raises ValueError, as in coef.
     """
+    cov = fit_result.robust_cov
+    if cov is None:
+        raise GlmError("no robust covariance on this fit")
     fam = _FAMILIES[fit_result.family]
     j = fit_result.names.index(term)
     X = fit_result.X
@@ -549,17 +506,15 @@ def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     d0 = fam.inv_link_deriv(eta0)
     grad = (d1 - d0) @ X / len(eta)
     grad[j] = np.mean(d1)
-    cov = fit_result.robust_cov if fit_result.robust_cov is not None else fit_result.model_cov
     var = float(grad @ cov @ grad)
     se = float(np.sqrt(max(var, 0.0)))
     zcrit = NormalDist().inv_cdf(0.5 + CI_LEVEL / 2.0)
     return MarginalEffect(effect, se, effect - zcrit * se, effect + zcrit * se)
 
 
-def confidence_interval(
-    fit_result: FitResult, name: str, level: float = CI_LEVEL
-) -> tuple[float, float]:
+def confidence_interval(fit_result: FitResult, name: str) -> tuple[float, float]:
+    """CI_LEVEL interval of a coefficient on its robust standard error."""
     b = fit_result.coef(name)
     se = fit_result.robust_se(name)
-    zcrit = NormalDist().inv_cdf(0.5 + level / 2.0)
+    zcrit = NormalDist().inv_cdf(0.5 + CI_LEVEL / 2.0)
     return b - zcrit * se, b + zcrit * se

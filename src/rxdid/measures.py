@@ -165,9 +165,6 @@ class ComorbidityMap:
         object.__setattr__(self, "_prefix_lengths", sorted({len(p) for p in index}))
         # conditions_for's answer per diagnosis code, filled on first ask
         object.__setattr__(self, "_by_code", {})
-        # compute_covariates copies these zeros for each row
-        object.__setattr__(self, "_zero_covariates", dict.fromkeys(
-            [*_LEADING_COVARIATES, *self.conditions, "antidepressant_90d"], 0.0))
 
     @classmethod
     def default(cls) -> "ComorbidityMap":
@@ -201,8 +198,7 @@ class ComorbidityMap:
         return found
 
 
-def write_comorbidity_map_csv(path: str, cmap: ComorbidityMap | None = None) -> None:
-    cmap = cmap or ComorbidityMap.default()
+def write_comorbidity_map_csv(path: str, cmap: ComorbidityMap) -> None:
     write_csv(path, COMORBIDITY_MAP_COLUMNS, (
         [condition, prefix]
         for condition, prefixes in cmap.conditions.items() for prefix in prefixes
@@ -225,11 +221,12 @@ PROCEDURE_ORDER = [
     "breast_excision",
 ]
 
-_LEADING_COVARIATES = (
-    ["age", "sex_female", "provider_group_practice", "los_1_2", "los_3plus"]
-    + [f"proc_{name}" for name in PROCEDURE_ORDER]
+# The covariates read off the cohort row, in the order compute_covariates lists them.
+_ROW_COVARIATES = ["age", "sex_female", "provider_group_practice", "los_1_2", "los_3plus"]
+COVARIATE_COLUMNS = (
+    _ROW_COVARIATES + [f"proc_{name}" for name in PROCEDURE_ORDER]
+    + COMORBIDITY_ORDER + ["antidepressant_90d"]
 )
-COVARIATE_COLUMNS = _LEADING_COVARIATES + COMORBIDITY_ORDER + ["antidepressant_90d"]
 
 
 ANTIDEPRESSANT_COLUMNS = ["drug_code"]
@@ -243,7 +240,12 @@ def write_antidepressants_csv(path: str, codes) -> None:
     write_csv(path, ANTIDEPRESSANT_COLUMNS, ([code] for code in sorted(codes)))
 
 
-_PROCEDURE_COLUMN = {name: f"proc_{name}" for name in PROCEDURE_ORDER}
+# each covariate's position in COVARIATE_COLUMNS
+_POSITION = {name: i for i, name in enumerate(COVARIATE_COLUMNS)}
+_PROCEDURE_POSITION = {name: _POSITION[f"proc_{name}"] for name in PROCEDURE_ORDER}
+_ANTIDEPRESSANT_POSITION = _POSITION["antidepressant_90d"]
+# the procedure, comorbidity and antidepressant flags before any is set
+_ZERO_FLAGS = [0.0] * (len(COVARIATE_COLUMNS) - len(_ROW_COVARIATES))
 _COMORBIDITY_SPAN = timedelta(days=COMORBIDITY_LOOKBACK)
 _ANTIDEPRESSANT_SPAN = timedelta(days=ANTIDEPRESSANT_LOOKBACK)
 
@@ -253,8 +255,8 @@ def compute_covariates(
     store: ClaimsStore,
     cmap: ComorbidityMap,
     antidepressant_codes: frozenset[str] = frozenset(),
-) -> dict[str, float]:
-    """Covariate values keyed by COVARIATE_COLUMNS (plus any custom map keys).
+) -> list[float]:
+    """The row's covariate values in COVARIATE_COLUMNS order.
 
     Comorbidity flags come from diagnoses on claims with service dates in
     days -180..-1 before the index early_anchor; the antidepressant flag
@@ -264,18 +266,17 @@ def compute_covariates(
         raise MissingDemographics(row.person_id)
     event = row.index_event
     early = event.early_anchor
-    values = dict(
-        cmap._zero_covariates,
-        age=float(row.age_years),
-        sex_female=1.0 if row.sex is Sex.FEMALE else 0.0,
-        provider_group_practice=(
-            1.0 if event.claim.provider_type is ProviderType.GROUP_PRACTICE else 0.0),
-        los_1_2=1.0 if row.los_category is LosCategory.ONE_TO_TWO else 0.0,
-        los_3plus=1.0 if row.los_category is LosCategory.THREE_PLUS else 0.0,
-    )
-    column = _PROCEDURE_COLUMN.get(event.procedure_name)
-    if column is not None:
-        values[column] = 1.0
+    values = [
+        float(row.age_years),
+        1.0 if row.sex is Sex.FEMALE else 0.0,
+        1.0 if event.claim.provider_type is ProviderType.GROUP_PRACTICE else 0.0,
+        1.0 if row.los_category is LosCategory.ONE_TO_TWO else 0.0,
+        1.0 if row.los_category is LosCategory.THREE_PLUS else 0.0,
+    ]
+    values += _ZERO_FLAGS
+    position = _PROCEDURE_POSITION.get(event.procedure_name)
+    if position is not None:
+        values[position] = 1.0
 
     # day -1 is the last day before early
     start = early - _COMORBIDITY_SPAN
@@ -283,12 +284,12 @@ def compute_covariates(
         if start <= claim.service_date < early:
             for dx in claim.diagnoses:
                 for condition in cmap.conditions_for(dx):
-                    values[condition] = 1.0
+                    values[_POSITION[condition]] = 1.0
 
     if antidepressant_codes:
         start = early - _ANTIDEPRESSANT_SPAN
         for fill in store.pharmacy.get(row.person_id, ()):
             if start <= fill.fill_date < early and fill.drug_code in antidepressant_codes:
-                values["antidepressant_90d"] = 1.0
+                values[_ANTIDEPRESSANT_POSITION] = 1.0
                 break
     return values

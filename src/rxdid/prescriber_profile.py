@@ -89,8 +89,7 @@ class ProcedureCodeSet:
         return cls({name: frozenset(codes) for name, codes in procs.items()})
 
 
-def write_procedures_csv(path: str, codes: ProcedureCodeSet | None = None) -> None:
-    codes = codes or ProcedureCodeSet()
+def write_procedures_csv(path: str, codes: ProcedureCodeSet) -> None:
     write_csv(path, PROCEDURE_COLUMNS, (
         [name, cpt] for name in sorted(codes.procedures) for cpt in sorted(codes.procedures[name])
     ))

@@ -3,7 +3,6 @@ and report assembly."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import date, timedelta
 
@@ -70,8 +69,6 @@ ANALYSIS_TABLE_COLUMNS = (
 )
 # person_id, provider_id and late_anchor, then the float columns
 _FLOAT_COLUMNS = ANALYSIS_TABLE_COLUMNS[3:]
-_outcome_values = operator.attrgetter(*OUTCOMES)
-_covariate_values = operator.itemgetter(*COVARIATE_COLUMNS)
 
 
 def _table(rows: list[tuple], flat: list) -> dict:
@@ -99,8 +96,9 @@ def build_analysis_table(
         # bools become 1.0 and 0.0 in the float columns
         flat.append(row.exposure is Exposure.EXPOSED)
         flat.append(row.period is Period.POST)
-        flat.extend(_outcome_values(compute_outcomes(row, store)))
-        flat.extend(_covariate_values(compute_covariates(row, store, cmap, antidepressant_codes)))
+        # an OutcomeVector's fields are in OUTCOMES order
+        flat.extend(compute_outcomes(row, store))
+        flat.extend(compute_covariates(row, store, cmap, antidepressant_codes))
     ids = [(row.person_id, row.index_event.claim.provider_id, row.index_event.late_anchor)
            for row in rows]
     return _table(ids, flat)
@@ -243,8 +241,7 @@ def _fit_spec(table: dict, outcome: str, spec: ModelDesign) -> FitResult:
     dropped as collinear."""
     if spec.empty_cell is not None:
         raise DegenerateDesign(f"{outcome}: empty exposure x period cell ({spec.empty_cell})")
-    result = fit_arrays(spec.design, table[outcome][spec.rows], OUTCOME_FAMILIES[outcome],
-                        drop_collinear=True)
+    result = fit_arrays(spec.design, table[outcome][spec.rows], OUTCOME_FAMILIES[outcome])
     if not result.converged:
         last = ", ".join(repr(d) for d in result.deviance_trace[-2:])
         raise NonConvergence(
@@ -267,15 +264,12 @@ def _term(result: FitResult, term: str) -> YearInteraction:
                            ame.effect, ame.ci_low, ame.ci_high)
 
 
-def run_did(
-    table: dict, outcome: str, covariates: list[str] | None = None,
-    design: ModelDesign | None = None,
-) -> DidEstimate:
+def run_did(table: dict, outcome: str, design: ModelDesign | None = None) -> DidEstimate:
     """Exposure x period interaction model with cluster-robust inference.
-    ``design`` is did_design(table, covariates), built once when several
-    outcomes are fitted."""
+    ``design`` is a did_design of the table, built once when several
+    outcomes are fitted; did_design(table) by default."""
     if design is None:
-        design = did_design(table, covariates)
+        design = did_design(table)
     result = _fit_spec(table, outcome, design)
     term = _term(result, "exposed:post")
     return DidEstimate(
@@ -297,14 +291,14 @@ def run_did(
 
 
 def run_pretrend(
-    table: dict, outcome: str, calendar: StudyCalendar, covariates: list[str] | None = None,
-    design: ModelDesign | None = None,
+    table: dict, outcome: str, calendar: StudyCalendar, design: ModelDesign | None = None,
 ) -> PretrendResult:
     """Exposure x pre-year interactions, year 1 the reference, with a joint
-    Wald test (df=2). ``design`` is pretrend_design(table, calendar,
-    covariates), built once when several outcomes are fitted."""
+    Wald test (df=2). ``design`` is a pretrend_design of the table, built
+    once when several outcomes are fitted; pretrend_design(table, calendar)
+    by default."""
     if design is None:
-        design = pretrend_design(table, calendar, covariates)
+        design = pretrend_design(table, calendar)
     result = _fit_spec(table, outcome, design)
     joint = wald_test(result, ["exposed:year2", "exposed:year3"])
     return PretrendResult(

@@ -13,30 +13,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import simulated_pipeline
 from rxdid.claims_core import StudyCalendar
 from rxdid.cli import main as cli_main
-from rxdid.cohort_builder import build_cohort
-from rxdid.glm_engine import (
-    BINOMIAL_LOGIT,
-    GAMMA_LOG,
-    cluster_robust_cov,
-    fit_arrays,
-    hc1_cov,
-)
-from rxdid.measures import ComorbidityMap
-from rxdid.prescriber_profile import (
-    ProcedureCodeSet,
-    ProviderClass,
-    classify_providers,
-    find_index_events,
-)
+from rxdid.glm_engine import BINOMIAL_LOGIT, GAMMA_LOG, fit_arrays, hc1_cov, prepare_design
+from rxdid.prescriber_profile import ProviderClass, classify_providers
 from rxdid.study_analysis import (
-    build_analysis_table,
+    did_design,
     render_report_from_estimates,
     run_did,
     run_pretrend,
 )
-from rxdid.synthgen import ANTIDEPRESSANT_CODES, SimConfig, generate
+from rxdid.synthgen import SimConfig
 
 CAL = StudyCalendar()
 
@@ -54,7 +42,7 @@ def test_criterion_1_glm_closed_form():
         np.repeat([0.0, 1.0], [70, 30]), np.repeat([0.0, 1.0], [90, 10]),
     ])
     X = np.column_stack([np.ones(200), x])
-    res = fit_arrays(X, y, BINOMIAL_LOGIT, names=["intercept", "x"])
+    res = fit_arrays(prepare_design(X, ["intercept", "x"], np.arange(200)), y, BINOMIAL_LOGIT)
     b0, b1 = res.coef("intercept"), res.coef("x")
     exp0 = math.log(30 / 70)
     exp1 = math.log((10 / 90) / (30 / 70))
@@ -62,7 +50,7 @@ def test_criterion_1_glm_closed_form():
     assert abs(b1 - exp1) < 1e-6 and abs(b1 - (-1.34993)) < 1e-4
 
     yg = np.array([2.0, 4.0, 5.0, 6.0, 8.0])  # mean 5.0
-    resg = fit_arrays(np.ones((5, 1)), yg, GAMMA_LOG, names=["intercept"])
+    resg = fit_arrays(prepare_design(np.ones((5, 1)), ["intercept"], np.arange(5)), yg, GAMMA_LOG)
     assert abs(resg.coef("intercept") - math.log(5.0)) < 1e-8
     elapsed = time.time() - start
     assert elapsed < 1.0
@@ -79,10 +67,9 @@ def test_criterion_2_sandwich_hc1_identity():
     x = rng.normal(size=n)
     y = (rng.random(n) < 1 / (1 + np.exp(-(0.3 + 0.7 * x)))).astype(float)
     X = np.column_stack([np.ones(n), x])
-    res = fit_arrays(X, y, BINOMIAL_LOGIT)
-    diff = float(np.max(np.abs(
-        cluster_robust_cov(res, np.arange(n)) - hc1_cov(res)
-    )))
+    # singleton clusters: each row its own
+    res = fit_arrays(prepare_design(X, ["intercept", "x"], np.arange(n)), y, BINOMIAL_LOGIT)
+    diff = float(np.max(np.abs(res.robust_cov - hc1_cov(res))))
     assert diff < 1e-12
     _ok("2 sandwich identity", f"max |diff| = {diff:.2e} on 200-row toy")
 
@@ -103,24 +90,11 @@ def test_criterion_3_did_closed_form():
         "any_refill_30d": np.array(y),
         "provider_id": np.array(prov, dtype=object),
     }
-    est = run_did(table, "any_refill_30d", covariates=[])
+    est = run_did(table, "any_refill_30d", design=did_design(table, []))
     expected = math.log(1 / 2.25)
     assert abs(est.interaction - expected) < 1e-8
     assert abs(est.interaction - (-0.81093)) < 1e-5
     _ok("3 DiD closed form", f"interaction {est.interaction:.5f} vs ln(1/2.25)")
-
-
-# shared simulation pipeline --------------------------------------------------
-
-def _analysis_table(config):
-    store, _ = generate(config)
-    codes = ProcedureCodeSet()
-    events = find_index_events(store, codes, CAL.profiling_start, CAL.profiling_end)
-    profiles = classify_providers(events, store)
-    rows, _ = build_cohort(store, profiles, CAL, codes)
-    return build_analysis_table(
-        rows, store, ComorbidityMap.default(), frozenset(ANTIDEPRESSANT_CODES)
-    )
 
 
 # 4. Effect recovery ----------------------------------------------------------
@@ -136,7 +110,7 @@ def test_criterion_4_effect_recovery():
             seed=seed, n_providers=200, patients_per_provider_quarter=3.0,
             effect_refill=0.7,
         )
-        table = _analysis_table(cfg)
+        table = simulated_pipeline(cfg).table
         est = run_did(table, "any_refill_30d")
         estimates.append(est.interaction)
         covered += est.ci_low <= target <= est.ci_high
@@ -162,7 +136,7 @@ def test_criterion_5_type_i_and_pretrend_uniformity():
             seed=10_000 + seed, n_providers=200,
             patients_per_provider_quarter=2.0,
         )
-        table = _analysis_table(cfg)
+        table = simulated_pipeline(cfg).table
         pvals.append(run_pretrend(table, "any_refill_30d", CAL).joint_p)
         if seed < 200:
             rejections += run_did(table, "any_refill_30d").significant

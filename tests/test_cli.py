@@ -1,7 +1,6 @@
 """CLI exit codes, run-directory outputs, and byte-level reproducibility."""
 import builtins
 import collections
-import functools
 import hashlib
 import json
 import os
@@ -18,17 +17,17 @@ import rxdid.cli as cli
 import rxdid.glm_engine as glm_engine
 import rxdid.study_analysis as sa
 from rxdid.cli import STEPS, main
+from conftest import simulated_pipeline
 from rxdid.glm_engine import fit_arrays
 from rxdid.claims_core import StudyCalendar
-from rxdid.cohort_builder import Period, build_cohort
+from rxdid.cohort_builder import Period
 from rxdid.measures import compute_outcomes, mme_of_fill
-from rxdid.prescriber_profile import ProcedureCodeSet, classify_providers, find_index_events
 from rxdid.study_analysis import (
     ANALYSIS_TABLE_COLUMNS,
     read_analysis_table,
     write_analysis_table,
 )
-from rxdid.synthgen import DEFAULT_PROCEDURE_WEIGHTS, SimConfig, generate
+from rxdid.synthgen import DEFAULT_PROCEDURE_WEIGHTS, SimConfig
 
 SIM_CFG = (
     "seed = 5\n"
@@ -279,7 +278,7 @@ def test_did_nonconvergence_is_analysis_error(tmp_path, sim_file, capsys, monkey
     for step in ["simulate", "classify", "cohort"]:
         assert main([step, "--out", out, "--sim", sim_file]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(sa, "fit_arrays", functools.partial(fit_arrays, max_iterations=1))
+    monkeypatch.setattr(glm_engine, "MAX_ITERATIONS", 1)
     assert main(["did", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("analysis error: ") and "did not converge" in err
@@ -385,12 +384,10 @@ def test_dump_fit_renders_the_fits_did_made(tmp_path, sim_file, monkeypatch):
 
 
 def test_cohort_rows_carry_the_profiled_index_event(sim_file):
-    store, _ = generate(SimConfig.from_file(sim_file))
-    codes, calendar = ProcedureCodeSet(), store.calendar
-    events = find_index_events(store, codes, calendar.profiling_start, calendar.profiling_end)
-    rows, _ = build_cohort(store, classify_providers(events, store), calendar, codes)
-    by_key = {(e.claim.person_id, e.late_anchor, e.claim.provider_id): e for e in events}
-    pre = [r for r in rows if r.period is Period.PRE]
+    run = simulated_pipeline(SimConfig.from_file(sim_file))
+    store = run.store
+    by_key = {(e.claim.person_id, e.late_anchor, e.claim.provider_id): e for e in run.events}
+    pre = [r for r in run.rows if r.period is Period.PRE]
     assert pre
     for row in pre:
         event = row.index_event

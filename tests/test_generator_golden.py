@@ -8,25 +8,15 @@ import os
 
 import pytest
 
-from rxdid.claims_core import StudyCalendar
-from rxdid.cohort_builder import build_cohort
-from rxdid.measures import ComorbidityMap
-from rxdid.prescriber_profile import ProcedureCodeSet, classify_providers, find_index_events
-from rxdid.study_analysis import ANALYSIS_TABLE_COLUMNS, build_analysis_table
-from rxdid.synthgen import ANTIDEPRESSANT_CODES, SimConfig, generate
+from conftest import simulated_pipeline
+from rxdid.study_analysis import ANALYSIS_TABLE_COLUMNS
+from rxdid.synthgen import SimConfig, generate
 
-CAL = StudyCalendar()
 TEXT_COLUMNS = ("person_id", "provider_id", "late_anchor")
 
 
 def _table_digest(config: SimConfig) -> str:
-    store, _ = generate(config)
-    codes = ProcedureCodeSet()
-    events = find_index_events(store, codes, CAL.profiling_start, CAL.profiling_end)
-    rows, _ = build_cohort(store, classify_providers(events, store), CAL, codes)
-    table = build_analysis_table(
-        rows, store, ComorbidityMap.default(), frozenset(ANTIDEPRESSANT_CODES)
-    )
+    table = simulated_pipeline(config).table
     h = hashlib.sha256()
     for name in ANALYSIS_TABLE_COLUMNS:
         h.update(name.encode())

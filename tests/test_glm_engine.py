@@ -14,7 +14,7 @@ from rxdid.glm_engine import (
     BINOMIAL_LOGIT,
     GAMMA_LOG,
     FitResult,
-    RankDeficient,
+    GlmError,
     SeparationSuspected,
     SingularSubmatrix,
     TooFewClusters,
@@ -32,6 +32,14 @@ from rxdid.glm_engine import (
 RNG = np.random.default_rng(20140822)
 
 
+def _design(X, names=None, cluster_ids=None):
+    """A Design over X: columns x0, x1, ... unless named, and each row its
+    own cluster unless cluster ids are given."""
+    n, p = X.shape
+    return prepare_design(X, names or [f"x{i}" for i in range(p)],
+                          np.arange(n) if cluster_ids is None else cluster_ids)
+
+
 def _grouped_binary(n0=100, k0=30, n1=100, k1=60):
     x = np.concatenate([np.zeros(n0), np.ones(n1)])
     y = np.concatenate([
@@ -45,7 +53,7 @@ def _grouped_binary(n0=100, k0=30, n1=100, k1=60):
 def test_logistic_two_group_closed_form():
     # saturated 2-group model: coefficients are exact log odds / log OR
     X, y = _grouped_binary()
-    res = fit_arrays(X, y, BINOMIAL_LOGIT, names=["intercept", "x"])
+    res = fit_arrays(_design(X, ["intercept", "x"]), y, BINOMIAL_LOGIT)
     assert res.converged
     assert res.coef("intercept") == pytest.approx(np.log(30 / 70), abs=1e-10)
     assert res.coef("x") == pytest.approx(np.log(60 / 40) - np.log(30 / 70), abs=1e-10)
@@ -54,7 +62,7 @@ def test_logistic_two_group_closed_form():
 def test_logistic_model_cov_closed_form():
     # grouped-data variance of the log odds: sum of 1/cell counts
     X, y = _grouped_binary()
-    res = fit_arrays(X, y, BINOMIAL_LOGIT, names=["intercept", "x"])
+    res = fit_arrays(_design(X, ["intercept", "x"]), y, BINOMIAL_LOGIT)
     var_b0 = 1 / 30 + 1 / 70
     var_b1 = var_b0 + 1 / 60 + 1 / 40
     assert res.model_cov[0, 0] == pytest.approx(var_b0, rel=1e-8)
@@ -74,7 +82,7 @@ def test_logistic_matches_direct_likelihood_optimum():
         return np.sum(np.log1p(np.exp(e)) - y * e)
 
     oracle = optimize.minimize(nll, np.zeros(3), method="BFGS", tol=1e-12).x
-    res = fit_arrays(X, y, BINOMIAL_LOGIT)
+    res = fit_arrays(_design(X), y, BINOMIAL_LOGIT)
     assert np.allclose(res.coefficients, oracle, atol=1e-6)
 
 
@@ -84,7 +92,7 @@ def test_gamma_two_group_closed_form():
     y1 = np.array([80.0, 90.0, 130.0])
     x = np.concatenate([np.zeros(4), np.ones(3)])
     X = np.column_stack([np.ones(7), x])
-    res = fit_arrays(X, np.concatenate([y0, y1]), GAMMA_LOG, names=["intercept", "x"])
+    res = fit_arrays(_design(X, ["intercept", "x"]), np.concatenate([y0, y1]), GAMMA_LOG)
     assert res.converged
     assert res.coef("intercept") == pytest.approx(np.log(y0.mean()), abs=1e-8)
     assert res.coef("x") == pytest.approx(np.log(y1.mean() / y0.mean()), abs=1e-8)
@@ -95,7 +103,7 @@ def test_gamma_dispersion_is_pearson_over_df():
     y1 = np.array([80.0, 90.0, 130.0])
     y = np.concatenate([y0, y1])
     X = np.column_stack([np.ones(7), np.concatenate([np.zeros(4), np.ones(3)])])
-    res = fit_arrays(X, y, GAMMA_LOG)
+    res = fit_arrays(_design(X), y, GAMMA_LOG)
     mu = np.concatenate([np.full(4, y0.mean()), np.full(3, y1.mean())])
     pearson = np.sum(((y - mu) / mu) ** 2)
     assert res.dispersion == pytest.approx(pearson / (7 - 2), rel=1e-8)
@@ -116,7 +124,7 @@ def test_gamma_matches_direct_deviance_optimum():
         deviance, np.array([np.log(y.mean()), 0.0]), method="Nelder-Mead",
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000},
     ).x
-    res = fit_arrays(X, y, GAMMA_LOG)
+    res = fit_arrays(_design(X), y, GAMMA_LOG)
     assert np.allclose(res.coefficients, oracle, atol=1e-6)
 
 
@@ -126,8 +134,8 @@ def test_covariate_scaling_invariance():
     y = (RNG.random(n) < 0.4).astype(float)
     X = np.column_stack([np.ones(n), x])
     Xs = np.column_stack([np.ones(n), 10.0 * x])
-    a = fit_arrays(X, y, BINOMIAL_LOGIT)
-    b = fit_arrays(Xs, y, BINOMIAL_LOGIT)
+    a = fit_arrays(_design(X), y, BINOMIAL_LOGIT)
+    b = fit_arrays(_design(Xs), y, BINOMIAL_LOGIT)
     assert b.coefficients[1] == pytest.approx(a.coefficients[1] / 10.0, rel=1e-8)
     assert np.allclose(a.mu, b.mu, atol=1e-10)
 
@@ -135,9 +143,9 @@ def test_covariate_scaling_invariance():
 def test_separation_detected_for_constant_response():
     X = np.column_stack([np.ones(40), RNG.normal(size=40)])
     with pytest.raises(SeparationSuspected):
-        fit_arrays(X, np.zeros(40), BINOMIAL_LOGIT)
+        fit_arrays(_design(X), np.zeros(40), BINOMIAL_LOGIT)
     with pytest.raises(SeparationSuspected):
-        fit_arrays(X, np.ones(40), BINOMIAL_LOGIT)
+        fit_arrays(_design(X), np.ones(40), BINOMIAL_LOGIT)
 
 
 def test_perfect_predictor_saturates_without_overflow():
@@ -146,32 +154,27 @@ def test_perfect_predictor_saturates_without_overflow():
     x = np.concatenate([np.zeros(20), np.ones(20)])
     y = x.copy()
     X = np.column_stack([np.ones(40), x])
-    res = fit_arrays(X, y, BINOMIAL_LOGIT)
+    res = fit_arrays(_design(X), y, BINOMIAL_LOGIT)
     assert res.converged
     assert np.all(np.isfinite(res.coefficients))
     assert np.max(np.abs(res.X @ res.coefficients)) < 30.0
 
 
-def test_rank_deficiency_raises_and_drop_collinear_reports():
+def test_collinear_columns_are_dropped_and_reported():
     X, y = _grouped_binary()
     X2 = np.column_stack([X, X[:, 1]])  # duplicate column
-    names = ["intercept", "x", "x_copy"]
-    with pytest.raises(RankDeficient) as exc:
-        fit_arrays(X2, y, BINOMIAL_LOGIT, names=names)
-    assert "x_copy" in exc.value.columns or "x" in exc.value.columns
-
-    res = fit_arrays(X2, y, BINOMIAL_LOGIT, names=names, drop_collinear=True)
+    res = fit_arrays(_design(X2, ["intercept", "x", "x_copy"]), y, BINOMIAL_LOGIT)
     assert len(res.dropped_columns) == 1
     assert res.coef("intercept") == pytest.approx(np.log(30 / 70), abs=1e-10)
 
 
-def test_nonconvergence_reports_diagnostics():
+def test_nonconvergence_reports_diagnostics(monkeypatch):
     n = 300
     x = RNG.normal(size=n)
     y = (RNG.random(n) < 1 / (1 + np.exp(-x))).astype(float)
     X = np.column_stack([np.ones(n), x])
-    res = fit_arrays(X, y, BINOMIAL_LOGIT, max_iterations=1,
-                     cluster_ids=np.arange(n) % 5)
+    monkeypatch.setattr(glm_engine, "MAX_ITERATIONS", 1)
+    res = fit_arrays(_design(X, cluster_ids=np.arange(n) % 5), y, BINOMIAL_LOGIT)
     assert not res.converged
     assert res.n_iterations == 1
     assert res.robust_cov is None
@@ -190,7 +193,7 @@ def _clustered_fit(G=25, per=8, family=BINOMIAL_LOGIT):
     else:
         y = RNG.gamma(shape=2.0, scale=np.exp(3.0 + 0.3 * x + u) / 2.0)
     X = np.column_stack([np.ones(n), x])
-    return fit_arrays(X, y, family, cluster_ids=cid), cid
+    return fit_arrays(_design(X, cluster_ids=cid), y, family), cid
 
 
 @pytest.mark.parametrize("family", [BINOMIAL_LOGIT, GAMMA_LOG])
@@ -216,7 +219,7 @@ def test_sandwich_matches_bruteforce(family):
 def test_singleton_clusters_reduce_to_hc1():
     res, _ = _clustered_fit()
     n = res.n_obs
-    singleton = cluster_robust_cov(res, np.arange(n))
+    singleton = cluster_robust_cov(res, np.arange(n), n)
     # G = N makes G/(G-1)*(N-1)/(N-p) = N/(N-p) exactly
     assert np.allclose(singleton, hc1_cov(res), rtol=1e-12)
 
@@ -232,7 +235,7 @@ def test_robust_se_larger_under_cluster_correlation():
 def test_too_few_clusters():
     res, _ = _clustered_fit()
     with pytest.raises(TooFewClusters):
-        cluster_robust_cov(res, np.zeros(res.n_obs))
+        cluster_robust_cov(res, np.zeros(res.n_obs, dtype=np.intp), 1)
 
 
 @st.composite
@@ -266,21 +269,21 @@ def test_cluster_robust_cov_same_on_string_ids_and_their_codes():
     y = (RNG.random(n) < 1 / (1 + np.exp(-(0.3 + 0.8 * x)))).astype(float)
     X = np.column_stack([np.ones(n), x])
     ids = np.array([f"dr{(7 * c) % len(sizes)}" for c in cid], dtype=object)
-    res = fit_arrays(X, y, BINOMIAL_LOGIT, cluster_ids=ids)
     codes, G = cluster_codes(ids)
+    res = fit_arrays(_design(X, cluster_ids=ids), y, BINOMIAL_LOGIT)
     assert G == len(sizes) and res.n_clusters == G
-    coded = cluster_robust_cov(res, codes, G)
-    assert coded.tobytes() == cluster_robust_cov(res, ids).tobytes()
-    assert coded.tobytes() == res.robust_cov.tobytes()
+    by_codes = fit_arrays(_design(X, cluster_ids=codes), y, BINOMIAL_LOGIT)
+    assert by_codes.robust_cov.tobytes() == res.robust_cov.tobytes()
+    assert cluster_robust_cov(res, codes, G).tobytes() == res.robust_cov.tobytes()
 
 
 def test_fit_on_a_design_reuses_its_rank_check_and_codes(monkeypatch):
     res, cid = _clustered_fit()
     names = ["intercept", "x"]
     responses = {BINOMIAL_LOGIT: res.y, GAMMA_LOG: res.y + 1.0}
-    own = {family: fit_arrays(res.X, y, family, names=names, cluster_ids=cid)
+    own = {family: fit_arrays(_design(res.X, names, cid), y, family)
            for family, y in responses.items()}
-    design = prepare_design(res.X, names, cid)
+    design = _design(res.X, names, cid)
 
     def refused(*args, **kwargs):
         raise AssertionError("a fit on a Design rank-checks or codes its clusters again")
@@ -291,8 +294,6 @@ def test_fit_on_a_design_reuses_its_rank_check_and_codes(monkeypatch):
         assert shared.names == names and shared.n_clusters == own[family].n_clusters
         for field in ("coefficients", "model_cov", "robust_cov"):
             assert getattr(shared, field).tobytes() == getattr(own[family], field).tobytes()
-    with pytest.raises(TypeError):
-        fit_arrays(design, res.y, BINOMIAL_LOGIT, names=names)
 
 
 @pytest.mark.parametrize("family", [BINOMIAL_LOGIT, GAMMA_LOG])
@@ -307,7 +308,7 @@ def test_qr_fallback_matches_cholesky(monkeypatch, family):
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
-    qr = fit_arrays(res.X, res.y, family, cluster_ids=cid)
+    qr = fit_arrays(_design(res.X, cluster_ids=cid), res.y, family)
     assert len(calls) == qr.n_iterations + 1  # every IRLS step and the final factor
     assert qr.n_iterations == res.n_iterations
     assert np.allclose(qr.coefficients, res.coefficients, rtol=0, atol=1e-10)
@@ -402,17 +403,18 @@ def test_exact_null_fit_has_zero_robust_variance():
     y = np.tile((np.arange(100) < 25).astype(float), 4)
     cid = np.array([f"{e:.0f}-{j % 10}" for e, j in zip(exposed, np.tile(np.arange(100), 4))])
     X = np.column_stack([np.ones(400), exposed, post, exposed * post])
-    res = fit_arrays(X, y, BINOMIAL_LOGIT, names=["intercept", "exposed", "post", "exposed:post"],
-                     cluster_ids=cid)
+    res = fit_arrays(_design(X, ["intercept", "exposed", "post", "exposed:post"], cid),
+                     y, BINOMIAL_LOGIT)
     assert res.robust_cov[3, 3] == 0.0 and not res.robust_cov[3].any()
     assert res.robust_cov[1, 1] > 0.0
     assert wald_test(res, ["exposed:post"]) == WaldResult(0.0, 0, 1.0)
 
 
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
-def test_confidence_interval_matches_norm_ppf(level):
+def test_confidence_interval_matches_norm_ppf(monkeypatch, level):
     res = _canned_fit([0.3], [[4.0]])  # se = 2
-    lo, hi = confidence_interval(res, "b0", level=level)
+    monkeypatch.setattr(glm_engine, "CI_LEVEL", level)
+    lo, hi = confidence_interval(res, "b0")
     zc = stats.norm.ppf(0.5 + level / 2.0)
     assert lo == pytest.approx(0.3 - 2.0 * zc, rel=1e-12)
     assert hi == pytest.approx(0.3 + 2.0 * zc, rel=1e-12)
@@ -494,8 +496,7 @@ def test_dependent_columns_match_scipy_pivoted_qr(design):
 def test_marginal_effect_two_group_closed_form():
     # saturated model: AME equals the raw risk difference 0.30 - 0.50 = -0.20
     X, y = _grouped_binary(n0=100, k0=50, n1=100, k1=30)
-    res = fit_arrays(X, y, BINOMIAL_LOGIT, names=["intercept", "x"],
-                     cluster_ids=np.arange(200) % 10)
+    res = fit_arrays(_design(X, ["intercept", "x"], np.arange(200) % 10), y, BINOMIAL_LOGIT)
     ame = marginal_effect(res, "x")
     assert ame.effect == pytest.approx(-0.20, abs=1e-8)
     assert ame.ci_low < ame.effect < ame.ci_high
@@ -508,19 +509,17 @@ def test_marginal_effect_gamma_mean_difference():
                         np.full(30, 150.0) + RNG.normal(scale=1e-6, size=30)])
     x = np.concatenate([np.zeros(30), np.ones(30)])
     X = np.column_stack([np.ones(60), x])
-    res = fit_arrays(X, y, GAMMA_LOG, names=["intercept", "x"],
-                     cluster_ids=np.arange(60) % 6)
+    res = fit_arrays(_design(X, ["intercept", "x"], np.arange(60) % 6), y, GAMMA_LOG)
     assert marginal_effect(res, "x").effect == pytest.approx(50.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("family", [BINOMIAL_LOGIT, GAMMA_LOG])
 def test_marginal_effect_matches_counterfactual_designs(family):
     # reference: predict on two full copies of X with the term set to 1 and 0
-    res, _ = _clustered_fit(G=30, per=10, family=family)
+    res, cid = _clustered_fit(G=30, per=10, family=family)
     d = (RNG.random(res.n_obs) < 0.5).astype(float)
     X = np.column_stack([res.X, d, d * res.X[:, 1]])
-    names = ["intercept", "x", "d", "d:x"]
-    fit_d = fit_arrays(X, res.y, family, names=names, cluster_ids=res.cluster_ids)
+    fit_d = fit_arrays(_design(X, ["intercept", "x", "d", "d:x"], cid), res.y, family)
     inv_link = (lambda e: 1 / (1 + np.exp(-e))) if family == BINOMIAL_LOGIT else np.exp
     deriv = (lambda e: inv_link(e) * (1 - inv_link(e))) if family == BINOMIAL_LOGIT else np.exp
     for j, term in [(2, "d"), (3, "d:x")]:
@@ -540,3 +539,12 @@ def test_marginal_effect_absent_term_raises():
     with pytest.raises(ValueError):
         marginal_effect(res, "not_there")
 
+
+def test_marginal_effect_needs_the_robust_covariance(monkeypatch):
+    # a fit that stops short of convergence has no robust covariance
+    X, y = _grouped_binary()
+    monkeypatch.setattr(glm_engine, "MAX_ITERATIONS", 1)
+    res = fit_arrays(_design(X, ["intercept", "x"]), y, BINOMIAL_LOGIT)
+    assert not res.converged and res.robust_cov is None
+    with pytest.raises(GlmError):
+        marginal_effect(res, "x")

@@ -21,6 +21,7 @@ from rxdid.measures import (
     ComorbidityMap,
     MissingCatalogEntry,
     NotAnalgesicOpioid,
+    OutcomeVector,
     compute_covariates,
     compute_outcomes,
     mme_of_fill,
@@ -29,6 +30,7 @@ from rxdid.measures import (
     write_comorbidity_map_csv,
 )
 from rxdid.prescriber_profile import IndexEvent
+from rxdid.study_analysis import OUTCOMES
 
 CAL = StudyCalendar()
 CATALOG = [
@@ -86,6 +88,11 @@ def _row_and_store(fills, medical_extra=(), birth_year=1960):
         INDEX_DAY.year - birth_year, Sex.FEMALE, LosCategory.ZERO,
     )
     return row, store
+
+
+def test_outcome_vector_fields_are_the_analysis_outcomes_in_order():
+    # build_analysis_table extends its columns with an OutcomeVector as it is
+    assert OutcomeVector._fields == tuple(OUTCOMES)
 
 
 def test_initial_mme_sums_first_day_only():
@@ -177,7 +184,7 @@ def test_renal_vs_hypertension_codes_disjoint():
 
 def test_map_csv_round_trip(tmp_path):
     path = str(tmp_path / "cmap.csv")
-    write_comorbidity_map_csv(path)
+    write_comorbidity_map_csv(path, ComorbidityMap.default())
     loaded = ComorbidityMap.from_file(path)
     assert loaded.conditions == ComorbidityMap.default().conditions
 
@@ -231,7 +238,9 @@ def test_covariates_basic_vector():
         [(1, "HYD5", 40.0)],
         medical_extra=[_visit("c2", INDEX_DAY - timedelta(days=60), ["42822"])],
     )
-    values = compute_covariates(row, store, ComorbidityMap.default())
+    vector = compute_covariates(row, store, ComorbidityMap.default())
+    assert len(vector) == len(COVARIATE_COLUMNS)
+    values = dict(zip(COVARIATE_COLUMNS, vector))
     assert values["age"] == 53.0
     assert values["sex_female"] == 1.0
     assert values["provider_group_practice"] == 0.0
@@ -249,7 +258,7 @@ def test_comorbidity_lookback_boundaries(offset, expected):
         [(1, "HYD5", 40.0)],
         medical_extra=[_visit("c2", INDEX_DAY + timedelta(days=offset), ["42822"])],
     )
-    values = compute_covariates(row, store, ComorbidityMap.default())
+    values = dict(zip(COVARIATE_COLUMNS, compute_covariates(row, store, ComorbidityMap.default())))
     assert values["congestive_heart_failure"] == expected
 
 
@@ -259,7 +268,7 @@ def test_antidepressant_lookback_boundaries(offset, expected):
     store.pharmacy["p1"].append(
         PharmacyClaim("p1", INDEX_DAY + timedelta(days=offset), "AD001", 30.0)
     )
-    values = compute_covariates(
+    values = dict(zip(COVARIATE_COLUMNS, compute_covariates(
         row, store, ComorbidityMap.default(), frozenset({"AD001"})
-    )
+    )))
     assert values["antidepressant_90d"] == expected

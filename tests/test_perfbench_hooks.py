@@ -36,18 +36,12 @@ def test_cli_hooks_resolve():
 @pytest.fixture(scope="module")
 def cohort():
     """A small simulated store and its cohort rows."""
-    from rxdid import cohort_builder, prescriber_profile, synthgen
-    from rxdid.claims_core import StudyCalendar
+    from conftest import simulated_pipeline
+    from rxdid import synthgen
 
-    calendar = StudyCalendar()
-    store, _ = synthgen.generate(
+    run = simulated_pipeline(
         synthgen.SimConfig(seed=11, n_providers=30, patients_per_provider_quarter=1.0))
-    codes = prescriber_profile.ProcedureCodeSet()
-    events = prescriber_profile.find_index_events(
-        store, codes, calendar.profiling_start, calendar.profiling_end)
-    rows, _ = cohort_builder.build_cohort(
-        store, prescriber_profile.classify_providers(events, store), calendar, codes)
-    return store, rows
+    return run.store, run.rows
 
 
 def _analysis_table(store, rows):

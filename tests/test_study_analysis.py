@@ -1,5 +1,4 @@
 """DiD and pre-trend specifications, descriptive tables, trends, report text."""
-import functools
 import json
 import math
 import os
@@ -10,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rxdid.study_analysis as sa
+from rxdid import glm_engine
 from rxdid.claims_core import StudyCalendar, write_json
-from rxdid.glm_engine import NonConvergence, fit_arrays
+from rxdid.glm_engine import NonConvergence
 from rxdid.study_analysis import (
     TREND_BIN_DAYS,
     DegenerateDesign,
@@ -67,7 +66,7 @@ def test_did_saturated_closed_form():
     table = _binary_table([
         (1, 0, 100, 20), (0, 0, 100, 10), (1, 1, 100, 10), (0, 1, 100, 10),
     ])
-    est = run_did(table, "any_refill_30d", covariates=[])
+    est = run_did(table, "any_refill_30d", design=did_design(table, []))
     assert est.interaction == pytest.approx(math.log(1 / 2.25), abs=1e-8)
     assert est.interaction == pytest.approx(-0.81093, abs=1e-5)
     assert est.ci_low < est.interaction < est.ci_high
@@ -78,7 +77,7 @@ def test_did_null_cells():
     table = _binary_table([
         (1, 0, 100, 25), (0, 0, 100, 25), (1, 1, 100, 25), (0, 1, 100, 25),
     ])
-    est = run_did(table, "any_refill_30d", covariates=[])
+    est = run_did(table, "any_refill_30d", design=did_design(table, []))
     assert est.interaction == pytest.approx(0.0, abs=1e-8)
     assert est.p_value == pytest.approx(1.0, abs=1e-6)
     assert not est.significant
@@ -101,7 +100,7 @@ def test_did_gamma_ratio_of_ratios():
         "initial_mme_7d": np.array(y),
         "provider_id": np.array(providers, dtype=object),
     }
-    est = run_did(table, "initial_mme_7d", covariates=[])
+    est = run_did(table, "initial_mme_7d", design=did_design(table, []))
     expected = math.log((150.0 / 120.0) / (200.0 / 100.0))
     assert est.interaction == pytest.approx(expected, abs=1e-6)
 
@@ -109,7 +108,7 @@ def test_did_gamma_ratio_of_ratios():
 def test_did_empty_cell_degenerate():
     table = _binary_table([(1, 0, 100, 20), (0, 0, 100, 10), (1, 1, 100, 10)])
     with pytest.raises(DegenerateDesign):
-        run_did(table, "any_refill_30d", covariates=[])
+        run_did(table, "any_refill_30d", design=did_design(table, []))
 
 
 def test_did_dropped_interaction_is_degenerate():
@@ -120,16 +119,16 @@ def test_did_dropped_interaction_is_degenerate():
     ])
     table["dose"] = 3.0 * table["exposed"] * table["post"]
     with pytest.raises(DegenerateDesign, match="exposed:post dropped as collinear"):
-        run_did(table, "any_refill_30d", covariates=["dose"])
+        run_did(table, "any_refill_30d", design=did_design(table, ["dose"]))
 
 
 def test_did_nonconvergence_raises_with_diagnostics(monkeypatch):
-    monkeypatch.setattr(sa, "fit_arrays", functools.partial(fit_arrays, max_iterations=1))
+    monkeypatch.setattr(glm_engine, "MAX_ITERATIONS", 1)
     table = _binary_table([
         (1, 0, 100, 20), (0, 0, 100, 10), (1, 1, 100, 10), (0, 1, 100, 10),
     ])
     with pytest.raises(NonConvergence) as exc:
-        run_did(table, "any_refill_30d", covariates=[])
+        run_did(table, "any_refill_30d", design=did_design(table, []))
     trace = exc.value.deviance_trace
     assert len(trace) == 2
     message = str(exc.value)
@@ -175,15 +174,16 @@ def _pretrend_table(year3_ratio=1.0, n_per=120):
 
 def test_pretrend_recovers_year3_shift():
     ratio = math.exp(0.3)
-    res = run_pretrend(_pretrend_table(year3_ratio=ratio), "initial_mme_7d", CAL,
-                       covariates=[])
+    table = _pretrend_table(year3_ratio=ratio)
+    res = run_pretrend(table, "initial_mme_7d", CAL, design=pretrend_design(table, CAL, []))
     assert res.year3.ci_low <= 0.3 <= res.year3.ci_high
     assert res.joint_df == 2
     assert res.joint_p < 0.05
 
 
 def test_pretrend_flat_is_nonsignificant():
-    res = run_pretrend(_pretrend_table(), "initial_mme_7d", CAL, covariates=[])
+    table = _pretrend_table()
+    res = run_pretrend(table, "initial_mme_7d", CAL, design=pretrend_design(table, CAL, []))
     assert abs(res.year2.coefficient) < 0.1
     assert abs(res.year3.coefficient) < 0.1
     assert res.joint_p > 0.05
@@ -193,7 +193,7 @@ def test_pretrend_requires_pre_rows():
     table = _binary_table([(1, 1, 50, 10), (0, 1, 50, 10)])
     table["post"][:] = 1.0
     with pytest.raises(DegenerateDesign):
-        run_pretrend(table, "any_refill_30d", CAL, covariates=[])
+        run_pretrend(table, "any_refill_30d", CAL, design=pretrend_design(table, CAL, []))
 
 
 @pytest.mark.parametrize("exposed", [0, 1])
@@ -206,7 +206,7 @@ def test_pretrend_empty_exposure_year_cell_is_degenerate(exposed, year):
     table = {name: column[keep] for name, column in table.items()}
     cell = "year2=0, year3=0" if year == 1 else f"year{year}=1"
     with pytest.raises(DegenerateDesign, match=rf"\(exposed={exposed}, {cell}\)"):
-        run_pretrend(table, "initial_mme_7d", CAL, covariates=[])
+        run_pretrend(table, "initial_mme_7d", CAL, design=pretrend_design(table, CAL, []))
 
 
 def test_a_shared_design_gives_each_outcome_its_own_estimate():
@@ -215,19 +215,19 @@ def test_a_shared_design_gives_each_outcome_its_own_estimate():
     table["post"] = (np.arange(n) % 2).astype(float)
     table["total_mme_30d"] = table["initial_mme_7d"] * 1.5 + RNG.gamma(2.0, 10.0, n)
     outcomes = ["initial_mme_7d", "total_mme_30d"]
-    did = did_design(table, covariates=[])
-    pre = pretrend_design(table, CAL, covariates=[])
+    did = did_design(table, [])
+    pre = pretrend_design(table, CAL, [])
     for outcome in outcomes:
         assert estimate_json(run_did(table, outcome, design=did)) == estimate_json(
-            run_did(table, outcome, covariates=[]))
+            run_did(table, outcome, design=did_design(table, [])))
         assert estimate_json(run_pretrend(table, outcome, CAL, design=pre)) == estimate_json(
-            run_pretrend(table, outcome, CAL, covariates=[]))
+            run_pretrend(table, outcome, CAL, design=pretrend_design(table, CAL, [])))
 
 
 def test_design_with_an_empty_cell_refuses_every_outcome():
     table = _binary_table([(1, 0, 50, 10), (0, 0, 50, 10), (0, 1, 50, 10)])
     table["initial_mme_7d"] = np.full(len(table["exposed"]), 100.0)
-    design = did_design(table, covariates=[])
+    design = did_design(table, [])
     for outcome in ("any_refill_30d", "initial_mme_7d"):
         with pytest.raises(DegenerateDesign) as e:
             run_did(table, outcome, design=design)
@@ -237,8 +237,8 @@ def test_design_with_an_empty_cell_refuses_every_outcome():
 def test_did_and_pretrend_share_one_design_builder():
     table = _pretrend_table()
     table["post"] = (np.arange(len(table["exposed"])) % 2).astype(float)
-    did = run_did(table, "initial_mme_7d", covariates=[]).fit
-    pre = run_pretrend(table, "initial_mme_7d", CAL, covariates=[]).fit
+    did = run_did(table, "initial_mme_7d", design=did_design(table, [])).fit
+    pre = run_pretrend(table, "initial_mme_7d", CAL, design=pretrend_design(table, CAL, [])).fit
     assert did.names == ["intercept", "exposed", "post", "exposed:post"]
     assert pre.names == ["intercept", "exposed", "year2", "year3",
                          "exposed:year2", "exposed:year3"]

@@ -8,18 +8,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import simulated_pipeline
 from rxdid.claims_core import StudyCalendar
-from rxdid.cohort_builder import build_cohort
-from rxdid.measures import ComorbidityMap
-from rxdid.prescriber_profile import (
-    ProcedureCodeSet,
-    ProviderClass,
-    classify_providers,
-    find_index_events,
-)
-from rxdid.study_analysis import build_analysis_table
+from rxdid.prescriber_profile import ProviderClass
 from rxdid.synthgen import (
-    ANTIDEPRESSANT_CODES,
     DEFAULT_PROCEDURE_WEIGHTS,
     GroundTruth,
     InvalidConfig,
@@ -125,21 +117,9 @@ def test_run_id_depends_on_config_not_identity():
     assert SimConfig(seed=5).run_id() != SimConfig(seed=5, refill_prob=0.3).run_id()
 
 
-def _pipeline_table(config):
-    store, truth = generate(config)
-    codes = ProcedureCodeSet()
-    events = find_index_events(store, codes, CAL.profiling_start, CAL.profiling_end)
-    profiles = classify_providers(events, store)
-    rows, _ = build_cohort(store, profiles, CAL, codes)
-    table = build_analysis_table(
-        rows, store, ComorbidityMap.default(), frozenset(ANTIDEPRESSANT_CODES)
-    )
-    return table, profiles, truth
-
-
 def test_marginal_calibration_null_config():
     cfg = SimConfig(seed=3, n_providers=80, patients_per_provider_quarter=3.0)
-    table, _, _ = _pipeline_table(cfg)
+    table = simulated_pipeline(cfg).table
     n = len(table["any_refill_30d"])
     assert n > 2000
     for name, p in (("any_refill_30d", cfg.refill_prob),
@@ -155,7 +135,8 @@ def test_marginal_calibration_null_config():
 
 def test_classifier_recovers_provider_strata():
     cfg = SimConfig(seed=9, n_providers=60, patients_per_provider_quarter=2.0)
-    _, profiles, truth = _pipeline_table(cfg)
+    run = simulated_pipeline(cfg)
+    profiles, truth = run.profiles, run.truth
     correct = total = 0
     for pid, stratum in truth.provider_strata.items():
         cls = profiles[pid].provider_class if pid in profiles else None
