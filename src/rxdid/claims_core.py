@@ -120,26 +120,38 @@ class StudyCalendar:
 
     @classmethod
     def from_file(cls, path: str) -> "StudyCalendar":
-        """Read a 4-line ``key=ISO-date`` override file.
+        """Read a ``key=ISO-date`` override file.
 
-        Accepted keys: pre_start, pre_end, post_start, post_end (the
-        profiling window is pinned to the pre window and cannot be
-        overridden independently).
+        Accepted keys: pre_start, pre_end, post_start, post_end, each at
+        most once; blank lines and ``#`` comments are skipped. The
+        profiling window is pinned to the pre window, so profiling_start
+        and profiling_end are unknown keys. Every error names the file, and
+        the line where there is one.
         """
         values = {}
         with open(path, encoding="utf-8") as f:
-            for raw in f:
+            for lineno, raw in enumerate(f, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, _, val = line.partition("=")
+                key, sep, val = line.partition("=")
                 key = key.strip()
-                if key in ("profiling_start", "profiling_end"):
-                    continue  # pinned to the pre window
-                if key not in ("pre_start", "pre_end", "post_start", "post_end"):
-                    raise UnknownColumn(f"unknown calendar key {key!r}")
-                values[key] = parse_iso_date(val.strip())
-        return cls(**values)
+                try:
+                    if not sep:
+                        raise ValueError(f"expected key=ISO-date, got {line!r}")
+                    if key not in ("pre_start", "pre_end", "post_start", "post_end"):
+                        raise ValueError(f"unknown calendar key {key!r}")
+                    if key in values:
+                        raise ValueError(f"calendar key {key!r} given twice")
+                    values[key] = parse_iso_date(val.strip())
+                except ValueError as e:
+                    raise MalformedRow(path, lineno, str(e)) from None
+                except InvalidDate as e:
+                    raise MalformedRow(path, lineno, f"{key}: {e}") from None
+        try:
+            return cls(**values)
+        except CalendarMisconfigured as e:
+            raise CalendarMisconfigured(f"{path}: {e}") from None
 
 
 class EnrollmentSpan(NamedTuple):
@@ -252,7 +264,6 @@ class ClaimsStore:
     depend on input row order.
     """
 
-    calendar: StudyCalendar
     enrollment: dict[str, list[EnrollmentSpan]] = field(default_factory=dict)
     pharmacy: dict[str, list[PharmacyClaim]] = field(default_factory=dict)
     medical: dict[str, list[MedicalClaim]] = field(default_factory=dict)
@@ -562,15 +573,14 @@ def parse_inputs(input_dir: str, calendar: StudyCalendar | None = None) -> Claim
             except (ValueError, InvalidDate) as e:
                 rejected.append(RejectedRow(f.name, lineno, str(e)))
     store = store_from_records(
-        calendar, records["enrollment.csv"], records["pharmacy.csv"],
-        records["medical.csv"], records["persons.csv"], records["drug_catalog.csv"],
+        records["enrollment.csv"], records["pharmacy.csv"], records["medical.csv"],
+        records["persons.csv"], records["drug_catalog.csv"],
     )
     store.rejected = rejected
     return store
 
 
 def store_from_records(
-    calendar: StudyCalendar,
     enrollment: list[EnrollmentSpan],
     pharmacy: list[PharmacyClaim],
     medical: list[MedicalClaim],
@@ -584,7 +594,7 @@ def store_from_records(
     service date and claim id), so the store does not depend on the order
     of the input lists. ``parsed_counts`` holds each list's length.
     """
-    store = ClaimsStore(calendar=calendar)
+    store = ClaimsStore()
     for s in enrollment:
         store.enrollment.setdefault(s.person_id, []).append(s)
     for c in pharmacy:

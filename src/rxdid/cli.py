@@ -27,14 +27,20 @@ from .cohort_builder import (
 from .glm_engine import FitResult, GlmError
 from .measures import (
     ComorbidityMap,
+    MeasureError,
     read_antidepressants_csv,
     write_antidepressants_csv,
     write_comorbidity_map_csv,
 )
 from .prescriber_profile import (
+    HIGH_SHARE,
+    LOW_SHARE,
+    MIN_CASES,
     InvalidThresholds,
     ProcedureCodeSet,
+    ProfileError,
     ProviderProfile,
+    check_thresholds,
     classify_providers,
     find_index_events,
     profile_summary,
@@ -64,9 +70,8 @@ from .study_analysis import (
 from .synthgen import (
     ANTIDEPRESSANT_CODES,
     GroundTruth,
-    InvalidConfig,
-    RunMismatch,
     SimConfig,
+    SynthError,
     generate,
     load_ground_truth,
     truth_check,
@@ -76,8 +81,16 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ANALYSIS = 2
 
+
 class MissingInput(Exception):
     pass
+
+
+# Each step's errors by family: what it was handed (exit 1), or what the
+# analysis of valid inputs ran into (exit 2).
+VALIDATION_ERRORS = (MissingInput, FileNotFoundError, ClaimsError, MeasureError, ProfileError,
+                     SynthError)
+ANALYSIS_ERRORS = (AnalysisError, GlmError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,15 +132,18 @@ def _inputs_dir(out_dir: str) -> str:
     return d
 
 
-def _thresholds(args) -> tuple[Fraction, Fraction, int]:
-    if not args.thresholds:
-        return Fraction(1, 4), Fraction(3, 4), 5
+def _thresholds(text: str | None) -> tuple[Fraction, Fraction, int]:
+    """--thresholds low,high,min_cases, range-checked as classify_providers checks it."""
+    if not text:
+        return LOW_SHARE, HIGH_SHARE, MIN_CASES
     try:
-        low, high, min_cases = args.thresholds.split(",")
-        return Fraction(low), Fraction(high), int(min_cases)
+        low, high, min_cases = text.split(",")
+        return check_thresholds(Fraction(low), Fraction(high), int(min_cases))
+    except InvalidThresholds as e:
+        raise InvalidThresholds(f"--thresholds {text}: {e}") from None
     except (ValueError, ZeroDivisionError):
         raise InvalidThresholds("--thresholds expects low,high,min_cases as numbers, "
-                                f"got {args.thresholds!r}") from None
+                                f"got {text!r}") from None
 
 
 class _Run:
@@ -140,6 +156,7 @@ class _Run:
 
     def __init__(self, args):
         self.args = args
+        self.thresholds = _thresholds(args.thresholds)
 
     def _read(self, name: str, read, made_by: str):
         path = os.path.join(self.args.out, name)
@@ -250,7 +267,7 @@ def step_simulate(args, run: _Run) -> list[str]:
 def step_classify(args, run: _Run) -> list[str]:
     calendar = run.calendar
     store = run.store
-    low, high, min_cases = _thresholds(args)
+    low, high, min_cases = run.thresholds
     events = find_index_events(store, run.codes, calendar.profiling_start, calendar.profiling_end)
     run.profiles = classify_providers(events, store, min_cases=min_cases, low=low, high=high)
     path = os.path.join(args.out, "profiles.csv")
@@ -294,11 +311,12 @@ def step_pretrend(args, run: _Run) -> list[str]:
 
 
 def _fit_dump(outcome: str, fit: FitResult) -> str:
+    # fit_arrays returns converged fits only
     coefs = "".join(
         f"coef {name} = {b!r}\n" for name, b in zip(fit.names, fit.coefficients.tolist()))
     return (f"== {outcome} ({fit.family}) ==\n"
             f"n_obs={fit.n_obs} n_clusters={fit.n_clusters} "
-            f"iterations={fit.n_iterations} converged={fit.converged}\n"
+            f"iterations={fit.n_iterations} converged=True\n"
             f"deviance_trace={fit.deviance_trace!r}\n{coefs}"
             f"model_cov=\n{np.array2string(fit.model_cov, threshold=10**6)}\n"
             f"robust_cov=\n{np.array2string(fit.robust_cov, threshold=10**6)}\n")
@@ -328,7 +346,7 @@ def step_did(args, run: _Run) -> list[str]:
         report["exclusions"] = {reason.value: n for reason, n in audit.items()}
     profiles = run.optional("profiles")
     if profiles is not None:
-        _, _, min_cases = _thresholds(args)
+        _, _, min_cases = run.thresholds
         if any(p.n_events >= min_cases for p in profiles.values()):
             report["profile_summary"] = profile_summary(profiles, min_cases=min_cases)
     pretrend = run.optional("pretrend")
@@ -403,19 +421,18 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     steps = STEPS if args.command == "all" else [args.command]
-    run = _Run(args)
     try:
+        run = _Run(args)
         os.makedirs(args.out, exist_ok=True)
         for step in steps:
             started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
             outputs = _STEP_FUNCS[step](args, run)
             _write_manifest(args.out, step, sys.argv[1:] if argv is None else argv,
                             {} if step == "simulate" else run.input_digests, outputs, started)
-    except (MissingInput, InvalidConfig, InvalidThresholds, ClaimsError,
-            RunMismatch, FileNotFoundError) as e:
+    except VALIDATION_ERRORS as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
-    except (AnalysisError, GlmError) as e:
+    except ANALYSIS_ERRORS as e:
         sys.stderr.write(f"analysis error: {e}\n")
         return EXIT_ANALYSIS
     return EXIT_OK

@@ -22,6 +22,10 @@ class GlmError(Exception):
     pass
 
 
+class InvalidResponse(GlmError):
+    pass
+
+
 class SeparationSuspected(GlmError):
     pass
 
@@ -50,7 +54,7 @@ class _Logit:
     @staticmethod
     def check_response(y):
         if not np.all((y == 0) | (y == 1)):
-            raise ValueError("logistic response must be binary in {0, 1}")
+            raise InvalidResponse("logistic response must be binary in {0, 1}")
         if len(y) and (np.all(y == 0) or np.all(y == 1)):
             raise SeparationSuspected(
                 "constant binary response; the intercept diverges"
@@ -104,7 +108,7 @@ class _GammaLog:
     @staticmethod
     def check_response(y):
         if not np.all(y > 0):
-            raise ValueError("gamma response must be strictly positive")
+            raise InvalidResponse("gamma response must be strictly positive")
 
     @staticmethod
     def init_mu(y):
@@ -151,15 +155,17 @@ _FAMILIES = {BINOMIAL_LOGIT: _Logit, GAMMA_LOG: _GammaLog}
 
 @dataclass
 class FitResult:
+    """A converged fit on a Design's columns, with its cluster-robust
+    covariance: fit_arrays returns no other kind."""
+
     family: str
     names: list[str]
     coefficients: np.ndarray
     model_cov: np.ndarray
-    robust_cov: np.ndarray | None
+    robust_cov: np.ndarray
     dispersion: float | None
     deviance: float
     n_iterations: int
-    converged: bool
     n_obs: int
     n_clusters: int
     dropped_columns: list[str] = field(default_factory=list)
@@ -261,48 +267,43 @@ def cluster_codes(cluster_ids) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class Design:
-    """A design matrix with what every fit on it shares: the column names,
-    the columns the rank check finds dependent, and the integer codes of
-    the rows' clusters. Build one with prepare_design."""
+    """The matrix every fit on it solves: the columns the rank check kept,
+    their names, the names of the dependent columns it dropped, and the
+    integer codes of the rows' clusters. Build one with prepare_design."""
 
     X: np.ndarray
     names: list[str]
-    dependent: list[int]
+    dropped: list[str]
     cluster_codes: np.ndarray
     n_clusters: int
 
 
 def prepare_design(X: np.ndarray, names: list[str], cluster_ids) -> Design:
-    """Rank-check X and code its cluster ids once, for any number of fits."""
+    """Rank-check X, drop its dependent columns and code its cluster ids
+    once, for any number of fits."""
     X = np.asarray(X, dtype=float)
+    dependent = _dependent_columns(X)
+    keep = [i for i in range(X.shape[1]) if i not in dependent]
+    if dependent:
+        X = X[:, keep]
     codes, n_clusters = cluster_codes(cluster_ids)
-    return Design(X, list(names), _dependent_columns(X), codes, n_clusters)
+    return Design(X, [names[i] for i in keep], [names[i] for i in dependent],
+                  codes, n_clusters)
 
 
 def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
-    """IRLS fit on a Design, with the cluster-robust covariance of a
-    converged fit. The design's dependent columns are dropped from the fit
-    and listed in dropped_columns.
-    """
+    """IRLS fit on a Design, with its cluster-robust covariance. A fit that
+    does not converge in MAX_ITERATIONS raises NonConvergence."""
     y = np.asarray(y, dtype=float)
     fam = _FAMILIES[family]
     fam.check_response(y)
 
-    X, names = design.X, design.names
-    dropped = [names[i] for i in design.dependent]
-    if dropped:
-        keep = [i for i in range(X.shape[1]) if i not in design.dependent]
-        X = X[:, keep]
-        names = [names[i] for i in keep]
-
+    X = design.X
     n, p = X.shape
     mu = fam.clip_mu(fam.init_mu(y))
     eta = fam.link(mu)
     deviance = fam.deviance(y, mu)
     trace = [float(deviance)]
-    converged = False
-    beta = np.zeros(p)
-    iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         w = fam.irls_weights(mu)
         z = fam.working_response(eta, y, mu)
@@ -314,9 +315,13 @@ def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
         change = abs(new_deviance - deviance)
         if change < ABS_DEVIANCE_TOL or change < REL_DEVIANCE_TOL * (abs(deviance) + 1e-300):
             deviance = new_deviance
-            converged = True
             break
         deviance = new_deviance
+    else:
+        last = ", ".join(repr(d) for d in trace[-2:])
+        raise NonConvergence(
+            f"IRLS did not converge in {MAX_ITERATIONS} iterations; last deviances {last}",
+            trace)
 
     # Quasi-separated columns saturate against the probability clip and the
     # fit proceeds (matching standard GLM software); complete separation via
@@ -333,26 +338,14 @@ def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
         model_cov = dispersion * bread
 
     result = FitResult(
-        family=family,
-        names=list(names),
-        coefficients=beta,
-        model_cov=model_cov,
-        robust_cov=None,
-        dispersion=dispersion,
-        deviance=float(deviance),
-        n_iterations=iterations,
-        converged=converged,
-        n_obs=n,
-        n_clusters=design.n_clusters,
-        dropped_columns=dropped,
-        deviance_trace=trace,
-        X=X,
-        y=y,
-        mu=mu,
-        bread=bread,
+        family=family, names=list(design.names), coefficients=beta,
+        model_cov=model_cov, robust_cov=None, dispersion=dispersion,
+        deviance=float(deviance), n_iterations=iterations, n_obs=n,
+        n_clusters=design.n_clusters, dropped_columns=list(design.dropped),
+        deviance_trace=trace, X=X, y=y, mu=mu, bread=bread,
     )
-    if converged:
-        result.robust_cov = cluster_robust_cov(result, design.cluster_codes, design.n_clusters)
+    # the sandwich reads the fit's X, y, mu and bread
+    result.robust_cov = cluster_robust_cov(result, design.cluster_codes, design.n_clusters)
     return result
 
 
@@ -377,8 +370,6 @@ def cluster_robust_cov(fit_result: FitResult, codes: np.ndarray, G: int) -> np.n
     G/(G-1) * (N-1)/(N-p); with singleton clusters this collapses to the
     HC1 factor N/(N-p).
     """
-    if not fit_result.converged:
-        raise GlmError("cluster_robust_cov requires a converged fit")
     n, p = fit_result.X.shape
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
@@ -418,21 +409,16 @@ class WaldResult:
     p_value: float
 
 
-def wald_test(fit_result: FitResult, indices: list[int] | list[str]) -> WaldResult:
-    """Joint chi-square test that the selected coefficients are zero (robust covariance).
+def wald_test(fit_result: FitResult, names: list[str]) -> WaldResult:
+    """Joint chi-square test that the named coefficients are zero (robust covariance).
 
     On an exact-null fit a coefficient can have both its estimate and its
     robust variance at zero: it is left out, with its degree of freedom, and
     a test left with none has W = 0 and p = 1. A zero variance under a
     nonzero estimate leaves the test singular.
     """
-    idx = [
-        fit_result.names.index(i) if isinstance(i, str) else int(i)
-        for i in indices
-    ]
+    idx = [fit_result.names.index(name) for name in names]
     cov = fit_result.robust_cov
-    if cov is None:
-        raise GlmError("no robust covariance on this fit")
     coefs = fit_result.coefficients
     rounding = (max(fit_result.n_obs, len(coefs)) * np.finfo(float).eps
                 * max(1.0, float(np.abs(coefs).max())))
@@ -442,9 +428,9 @@ def wald_test(fit_result: FitResult, indices: list[int] | list[str]) -> WaldResu
     try:
         sol = np.linalg.solve(V, b)
     except np.linalg.LinAlgError:
-        raise SingularSubmatrix(f"covariance submatrix for {indices} is singular")
+        raise SingularSubmatrix(f"covariance submatrix for {names} is singular")
     if not np.all(np.isfinite(sol)):
-        raise SingularSubmatrix(f"covariance submatrix for {indices} is singular")
+        raise SingularSubmatrix(f"covariance submatrix for {names} is singular")
     W = float(b @ sol)
     df = len(idx)
     # cancellation can leave a -1e-30-scale W on an exact-null fit
@@ -490,9 +476,6 @@ def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     CI_LEVEL interval by the delta method on the robust covariance. A term
     the fit lacks raises ValueError, as in coef.
     """
-    cov = fit_result.robust_cov
-    if cov is None:
-        raise GlmError("no robust covariance on this fit")
     fam = _FAMILIES[fit_result.family]
     j = fit_result.names.index(term)
     X = fit_result.X
@@ -506,7 +489,7 @@ def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     d0 = fam.inv_link_deriv(eta0)
     grad = (d1 - d0) @ X / len(eta)
     grad[j] = np.mean(d1)
-    var = float(grad @ cov @ grad)
+    var = float(grad @ fit_result.robust_cov @ grad)
     se = float(np.sqrt(max(var, 0.0)))
     zcrit = NormalDist().inv_cdf(0.5 + CI_LEVEL / 2.0)
     return MarginalEffect(effect, se, effect - zcrit * se, effect + zcrit * se)

@@ -37,6 +37,28 @@ class AmbiguousProcedureCode(ClaimsError):
     pass
 
 
+# Classification defaults: among providers with at least MIN_CASES index
+# events, a hydrocodone share at or above HIGH_SHARE is a prescriber and
+# one at or below LOW_SHARE a non-prescriber.
+LOW_SHARE = Fraction(1, 4)
+HIGH_SHARE = Fraction(3, 4)
+MIN_CASES = 5
+
+
+def check_thresholds(
+    low: Fraction | float, high: Fraction | float, min_cases: int,
+) -> tuple[Fraction, Fraction, int]:
+    """(low, high, min_cases) with the shares as exact rationals;
+    InvalidThresholds unless 0 <= low < high <= 1 and min_cases >= 1."""
+    low = Fraction(low)
+    high = Fraction(high)
+    if not (0 <= low < high <= 1):
+        raise InvalidThresholds(f"need 0 <= low < high <= 1, got low={low}, high={high}")
+    if min_cases < 1:
+        raise InvalidThresholds(f"min_cases must be >= 1, got {min_cases}")
+    return low, high, min_cases
+
+
 # Ten study procedures and their CPT codes.
 DEFAULT_PROCEDURES: dict[str, frozenset[str]] = {
     "carpal_tunnel_release": frozenset({"64721", "29848"}),
@@ -194,22 +216,16 @@ def event_is_hydrocodone(event: IndexEvent, store: ClaimsStore) -> bool:
 def classify_providers(
     events: list[IndexEvent],
     store: ClaimsStore,
-    min_cases: int = 5,
-    low: Fraction | float = Fraction(1, 4),
-    high: Fraction | float = Fraction(3, 4),
+    min_cases: int = MIN_CASES,
+    low: Fraction | float = LOW_SHARE,
+    high: Fraction | float = HIGH_SHARE,
 ) -> dict[str, ProviderProfile]:
     """Per-provider hydrocodone share and class.
 
     Threshold comparisons use exact rational arithmetic so boundary
     shares (exactly 0.75 / 0.25) classify per the >= / <= rules.
     """
-    low = Fraction(low)
-    high = Fraction(high)
-    if not (0 <= low < high <= 1):
-        raise InvalidThresholds(f"need 0 <= low < high <= 1, got low={low}, high={high}")
-    if min_cases < 1:
-        raise InvalidThresholds(f"min_cases must be >= 1, got {min_cases}")
-
+    low, high, min_cases = check_thresholds(low, high, min_cases)
     counts: dict[str, list[int]] = {}
     ptypes: dict[str, ProviderType] = {}
     for ev in events:
@@ -244,7 +260,7 @@ def _quantile_lower(sorted_vals: list, q: Fraction):
     return sorted_vals[idx]
 
 
-def profile_summary(profiles: dict[str, ProviderProfile], min_cases: int = 5) -> dict:
+def profile_summary(profiles: dict[str, ProviderProfile], min_cases: int = MIN_CASES) -> dict:
     """Counts plus median/IQR of shares over providers with enough cases."""
     eligible = [p for p in profiles.values() if p.n_events >= min_cases]
     if not eligible:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import date, timedelta
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .glm_engine import (
     GAMMA_LOG,
     Design,
     FitResult,
-    NonConvergence,
+    GlmError,
     confidence_interval,
     fit_arrays,
     marginal_effect,
@@ -112,10 +113,27 @@ def write_analysis_table(path: str, table: dict) -> None:
     write_csv(path, ANALYSIS_TABLE_COLUMNS, zip(*ids, *fields))
 
 
+# exposed, post, the binary outcomes and the indicator covariates hold 0 or 1
+_BINARY_COLUMNS = frozenset(
+    ["exposed", "post", *COVARIATE_COLUMNS]
+    + [name for name, family in OUTCOME_FAMILIES.items() if family == BINOMIAL_LOGIT]) - {"age"}
+_binary_values = itemgetter(*(j for j, name in enumerate(_FLOAT_COLUMNS) if name in _BINARY_COLUMNS))
+
+
+def _table_row(row: list[str]) -> tuple:
+    """A row as the pipeline writes it: its floats finite, its binary columns 0 or 1."""
+    values = list(map(float, row[3:]))
+    if not all(map(math.isfinite, values)) or not set(_binary_values(values)) <= {0.0, 1.0}:
+        for name, text, v in zip(_FLOAT_COLUMNS, row[3:], values):
+            binary = name in _BINARY_COLUMNS
+            if not math.isfinite(v) or (binary and v not in (0.0, 1.0)):
+                raise ValueError(f"{name} = {text.strip()}, expected "
+                                 + ("0 or 1" if binary else "a finite number"))
+    return (row[0], row[1], date.fromisoformat(row[2]), *values)
+
+
 def read_analysis_table(path: str) -> dict:
-    rows = read_reference_csv(
-        path, ANALYSIS_TABLE_COLUMNS,
-        lambda row: (row[0], row[1], date.fromisoformat(row[2]), *map(float, row[3:])))
+    rows = read_reference_csv(path, ANALYSIS_TABLE_COLUMNS, _table_row)
     return _table(rows, [v for row in rows for v in row[3:]])
 
 
@@ -173,14 +191,14 @@ def pre_year_index(late_anchor: date, calendar: StudyCalendar) -> int:
 @dataclass(frozen=True)
 class ModelDesign:
     """One model's design over the table's ``rows`` (a mask or a slice),
-    shared by the fits of every outcome on those rows: the period terms it
-    tests, and either its glm_engine Design or the exposure x period cell
-    that has no rows (then every fit on it is refused)."""
+    shared by the fits of every outcome on those rows: its glm_engine
+    Design, or why every fit on it is refused (an exposure x period cell
+    with no rows, or a tested exposed:<period> term that the rank check
+    dropped)."""
 
     rows: slice | np.ndarray
-    tested: list[str]
     design: Design | None
-    empty_cell: str | None = None
+    refusal: str | None = None
 
 
 def _model_design(
@@ -206,16 +224,19 @@ def _model_design(
     for e in (0.0, 1.0):
         for label, in_period in cells:
             if not np.any((exposed == e) & in_period):
-                return ModelDesign(rows, tested, None, f"exposed={int(e)}, {label}")
+                return ModelDesign(
+                    rows, None, f"empty exposure x period cell (exposed={int(e)}, {label})")
 
     covariates = COVARIATE_COLUMNS if covariates is None else covariates
     X = np.column_stack([
         np.ones(len(exposed)), exposed, *columns, *(exposed * col for col in columns),
         *(table[name][rows] for name in covariates),
     ])
-    return ModelDesign(rows, tested, prepare_design(
-        X, ["intercept", "exposed", *periods, *tested, *covariates],
-        table["provider_id"][rows]))
+    design = prepare_design(X, ["intercept", "exposed", *periods, *tested, *covariates],
+                            table["provider_id"][rows])
+    lost = ", ".join(term for term in tested if term in design.dropped)
+    return ModelDesign(rows, design,
+                       f"{lost} dropped as collinear with the other columns" if lost else None)
 
 
 def did_design(table: dict, covariates: list[str] | None = None) -> ModelDesign:
@@ -236,24 +257,16 @@ def pretrend_design(
 
 
 def _fit_spec(table: dict, outcome: str, spec: ModelDesign) -> FitResult:
-    """Fit ``outcome`` on the model's design. A design with an empty
-    exposure x period cell is refused, and no exposed:<period> term may be
-    dropped as collinear."""
-    if spec.empty_cell is not None:
-        raise DegenerateDesign(f"{outcome}: empty exposure x period cell ({spec.empty_cell})")
-    result = fit_arrays(spec.design, table[outcome][spec.rows], OUTCOME_FAMILIES[outcome])
-    if not result.converged:
-        last = ", ".join(repr(d) for d in result.deviance_trace[-2:])
-        raise NonConvergence(
-            f"{outcome}: IRLS did not converge in {result.n_iterations} "
-            f"iterations; last deviances {last}",
-            result.deviance_trace,
-        )
-    lost = [term for term in spec.tested if term in result.dropped_columns]
-    if lost:
-        raise DegenerateDesign(
-            f"{outcome}: {', '.join(lost)} dropped as collinear with the other columns")
-    return result
+    """Fit ``outcome`` on the model's design unless the design is refused.
+    Every error names the outcome."""
+    if spec.refusal is not None:
+        raise DegenerateDesign(f"{outcome}: {spec.refusal}")
+    try:
+        return fit_arrays(spec.design, table[outcome][spec.rows], OUTCOME_FAMILIES[outcome])
+    except GlmError as e:
+        # the same error, with its class and diagnostics
+        e.args = (f"{outcome}: {e}",)
+        raise
 
 
 def _term(result: FitResult, term: str) -> YearInteraction:
@@ -440,12 +453,9 @@ def table_one(table: dict) -> list[dict]:
         raise DegenerateDesign("table_one requires both exposure groups")
     rows = []
 
-    def quartiles(v: np.ndarray) -> tuple[float, float, float]:
-        return (
-            float(np.percentile(v, 50)),
-            float(np.percentile(v, 25)),
-            float(np.percentile(v, 75)),
-        )
+    def quartiles(v: np.ndarray) -> tuple[float, ...]:
+        """Median, lower and upper quartile."""
+        return tuple(float(np.percentile(v, q)) for q in (50, 25, 75))
 
     age_e = table["age"][exp_mask]
     age_u = table["age"][unexp_mask]

@@ -430,9 +430,7 @@ def generate(
                         person_id, dates[late + 90 + randbelow(bits, 91)], drug, later_quantity, 5,
                     ))
 
-    store = store_from_records(
-        calendar, spans, pharmacy, medical, persons, list(FORMULARY)
-    )
+    store = store_from_records(spans, pharmacy, medical, persons, list(FORMULARY))
     truth = GroundTruth(
         run_id=config.run_id(),
         seed=config.seed,

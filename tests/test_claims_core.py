@@ -146,7 +146,7 @@ def record_lists(draw):
 
 
 def _written(records, out_dir) -> dict[str, bytes]:
-    write_store(store_from_records(StudyCalendar(), *records), out_dir)
+    write_store(store_from_records(*records), out_dir)
     return {name: open(os.path.join(out_dir, name), "rb").read()
             for name in sorted(os.listdir(out_dir))}
 
@@ -385,7 +385,6 @@ def test_each_row_rule_rejects_with_its_reason(input_dir, name, column, value, r
 
 
 def test_opioid_fills_in_window_bounds_and_order():
-    cal = StudyCalendar()
     anchor = date(2013, 2, 1)
     catalog = [
         DrugCatalogEntry("HYD5", OpioidIngredient.HYDROCODONE, True, 5.0, 1.0),
@@ -395,7 +394,7 @@ def test_opioid_fills_in_window_bounds_and_order():
         PharmacyClaim("p1", anchor + timedelta(days=d), code, 10.0)
         for d, code in [(8, "HYD5"), (-1, "HYD5"), (0, "HYD5"), (7, "HYD5"), (3, "FENTP")]
     ]
-    store = store_from_records(cal, [], fills, [], [], catalog)
+    store = store_from_records([], fills, [], [], catalog)
     got = opioid_fills_in_window(store, "p1", anchor, 0, 7)
     assert [(offset, f.fill_date) for offset, f, _ in got] == [
         (0, anchor), (7, anchor + timedelta(days=7)),

@@ -170,6 +170,37 @@ def test_unparsable_thresholds_are_one_line_validation_error(tmp_path, sim_file,
     assert err.startswith("error: --thresholds") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("thresholds", ["0.9,0.1,5", "0.25,0.75,0"])
+def test_out_of_range_thresholds_are_one_line_validation_error(tmp_path, sim_file, capsys,
+                                                               thresholds):
+    # checked when the flag is parsed, also by a step that classifies nothing
+    out = str(tmp_path / "r")
+    for step in ["simulate", "classify", "cohort"]:
+        assert main([step, "--out", out, "--sim", sim_file]) == 0
+    capsys.readouterr()
+    assert main(["did", "--out", out, "--thresholds", thresholds]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --thresholds {thresholds}: ") and len(err.splitlines()) == 1
+    assert not os.path.exists(os.path.join(out, "did.json"))
+
+
+@pytest.mark.parametrize("text, named", [
+    ("pre_start=2011-08-22\nfoo=2012-01-01\n", ":2: unknown calendar key 'foo'"),
+    ("# comment\n\npre_start\n", ":3: expected key=ISO-date"),
+    ("profiling_start=2011-08-22\n", ":1: unknown calendar key 'profiling_start'"),
+    ("pre_end=2014-10-06\npost_start=2014-10-06\n", ": a non-empty washout interval"),
+    ("pre_start=2011-08-22\npre_start=2011-08-23\n", ":2: calendar key 'pre_start' given twice"),
+    ("post_end = 2015-13-01\n", ":1: post_end: month must be in 1..12"),
+])
+def test_bad_calendar_file_is_one_line_validation_error_naming_it(tmp_path, capsys,
+                                                                  text, named):
+    cal = tmp_path / "cal.txt"
+    cal.write_text(text)
+    assert main(["simulate", "--out", str(tmp_path / "r"), "--calendar", str(cal)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cal}{named}") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("line, named", [
     ("n_providers = abc", "n_providers"),
     ("n_providers = 1.5", "n_providers"),
@@ -284,6 +315,21 @@ def test_did_nonconvergence_is_analysis_error(tmp_path, sim_file, capsys, monkey
     assert err.startswith("analysis error: ") and "did not converge" in err
     assert len(err.splitlines()) == 1
     assert not os.path.exists(os.path.join(out, "did.json"))
+
+
+@pytest.mark.parametrize("step", ["did", "pretrend"])
+def test_fit_error_names_its_outcome(tmp_path, sim_file, capsys, step):
+    out = str(tmp_path / "r")
+    for s in ["simulate", "classify", "cohort"]:
+        assert main([s, "--out", out, "--sim", sim_file]) == 0
+    path = os.path.join(out, "analysis_table.csv")
+    table = read_analysis_table(path)
+    table["persistent_use_90_180"][:] = 0.0
+    write_analysis_table(path, table)
+    capsys.readouterr()
+    assert main([step, "--out", out]) == 2
+    assert capsys.readouterr().err == ("analysis error: persistent_use_90_180: "
+                                       "constant binary response; the intercept diverges\n")
 
 
 def test_dump_fit_written(tmp_path, sim_file):
@@ -537,6 +583,10 @@ def _edit_first_row(column, value):
     ("pretrend.json", _replace_with("[]\n"), "did", "pretrend.json"),
     ("analysis_table.csv", _replace_header, "did", "analysis_table.csv"),
     ("analysis_table.csv", _edit_first_row(3, "x"), "did", "analysis_table.csv"),
+    ("analysis_table.csv", _edit_first_row(ANALYSIS_TABLE_COLUMNS.index("any_refill_30d"), "0.5"),
+     "did", "any_refill_30d = 0.5, expected 0 or 1"),
+    ("analysis_table.csv", _edit_first_row(ANALYSIS_TABLE_COLUMNS.index("age"), "nan"),
+     "did", "age = nan, expected a finite number"),
     ("report.json", _replace_with("{"), "check", "report.json"),
     ("ground_truth.json", _replace_with("{"), "check", "ground_truth.json"),
     ("ground_truth.json", _replace_with('{"run_id": "x"}\n'), "did", "ground_truth.json"),
@@ -550,7 +600,8 @@ def _edit_first_row(column, value):
         "profiles_no_events",
         "comorbidity_map_empty_prefix", "procedures_empty_cpt", "exclusions_empty",
         "exclusions_count", "exclusions_reason", "pretrend_not_json", "pretrend_not_object",
-        "analysis_table_header", "analysis_table_value", "report_not_json",
+        "analysis_table_header", "analysis_table_value", "analysis_table_binary_outcome",
+        "analysis_table_nan_age", "report_not_json",
         "ground_truth_not_json", "ground_truth_missing_keys", "report_not_object",
         "comorbidity_map_dot_prefix"])
 def test_bad_reference_file_is_one_line_validation_error(

@@ -104,7 +104,7 @@ class FixtureBuilder:
 
     def store(self):
         return store_from_records(
-            CAL, self.spans, self.pharmacy, self.medical, self.persons, CATALOG
+            self.spans, self.pharmacy, self.medical, self.persons, CATALOG
         )
 
 
@@ -254,7 +254,7 @@ def test_determinism_under_input_order():
     medical = [c for cs in store.medical.values() for c in cs]
     persons = list(store.demographics.values())
     store2 = cc.store_from_records(
-        CAL, spans[::-1], pharmacy[::-1], medical[::-1], persons[::-1],
+        spans[::-1], pharmacy[::-1], medical[::-1], persons[::-1],
         list(store.catalog.values()),
     )
     rows2, audit2 = _cohort(store2)
@@ -481,7 +481,7 @@ def _cohort_stores(draw):
             persons.append(PersonDemographics(pid, draw(st.sampled_from([1960, 1960, 1960, 1995])),
                                               Sex.FEMALE))
     catalog = CATALOG + [DrugCatalogEntry("FENTP", OpioidIngredient.FENTANYL, False, 0.0, 0.0)]
-    return store_from_records(CAL, spans, fills, claims, persons, catalog)
+    return store_from_records(spans, fills, claims, persons, catalog)
 
 
 @settings(max_examples=500, deadline=None)

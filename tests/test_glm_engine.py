@@ -15,6 +15,8 @@ from rxdid.glm_engine import (
     GAMMA_LOG,
     FitResult,
     GlmError,
+    InvalidResponse,
+    NonConvergence,
     SeparationSuspected,
     SingularSubmatrix,
     TooFewClusters,
@@ -54,7 +56,6 @@ def test_logistic_two_group_closed_form():
     # saturated 2-group model: coefficients are exact log odds / log OR
     X, y = _grouped_binary()
     res = fit_arrays(_design(X, ["intercept", "x"]), y, BINOMIAL_LOGIT)
-    assert res.converged
     assert res.coef("intercept") == pytest.approx(np.log(30 / 70), abs=1e-10)
     assert res.coef("x") == pytest.approx(np.log(60 / 40) - np.log(30 / 70), abs=1e-10)
 
@@ -93,7 +94,6 @@ def test_gamma_two_group_closed_form():
     x = np.concatenate([np.zeros(4), np.ones(3)])
     X = np.column_stack([np.ones(7), x])
     res = fit_arrays(_design(X, ["intercept", "x"]), np.concatenate([y0, y1]), GAMMA_LOG)
-    assert res.converged
     assert res.coef("intercept") == pytest.approx(np.log(y0.mean()), abs=1e-8)
     assert res.coef("x") == pytest.approx(np.log(y1.mean() / y0.mean()), abs=1e-8)
 
@@ -148,6 +148,18 @@ def test_separation_detected_for_constant_response():
         fit_arrays(_design(X), np.ones(40), BINOMIAL_LOGIT)
 
 
+@pytest.mark.parametrize("family, y", [
+    (BINOMIAL_LOGIT, np.tile([0.0, 1.0, 0.5, 1.0], 10)),
+    (GAMMA_LOG, np.tile([1.0, 2.0, 0.0, 3.0], 10)),
+])
+def test_response_outside_the_family_is_a_glm_error(family, y):
+    # every way a fit can fail is a GlmError
+    X = np.column_stack([np.ones(40), RNG.normal(size=40)])
+    with pytest.raises(InvalidResponse) as e:
+        fit_arrays(_design(X), y, family)
+    assert isinstance(e.value, GlmError)
+
+
 def test_perfect_predictor_saturates_without_overflow():
     # complete separation on a covariate converges with a large-but-finite
     # linear predictor rather than overflowing
@@ -155,7 +167,6 @@ def test_perfect_predictor_saturates_without_overflow():
     y = x.copy()
     X = np.column_stack([np.ones(40), x])
     res = fit_arrays(_design(X), y, BINOMIAL_LOGIT)
-    assert res.converged
     assert np.all(np.isfinite(res.coefficients))
     assert np.max(np.abs(res.X @ res.coefficients)) < 30.0
 
@@ -163,8 +174,15 @@ def test_perfect_predictor_saturates_without_overflow():
 def test_collinear_columns_are_dropped_and_reported():
     X, y = _grouped_binary()
     X2 = np.column_stack([X, X[:, 1]])  # duplicate column
-    res = fit_arrays(_design(X2, ["intercept", "x", "x_copy"]), y, BINOMIAL_LOGIT)
-    assert len(res.dropped_columns) == 1
+    design = _design(X2, ["intercept", "x", "x_copy"])
+    # the design is the matrix that gets fitted: the kept columns only
+    assert len(design.dropped) == 1 and design.X.shape == (200, 2)
+    assert design.names + design.dropped in (["intercept", "x", "x_copy"],
+                                             ["intercept", "x_copy", "x"])
+    assert design.X.tobytes() == X.tobytes()
+    res = fit_arrays(design, y, BINOMIAL_LOGIT)
+    assert res.X is design.X and res.names == design.names
+    assert res.dropped_columns == design.dropped
     assert res.coef("intercept") == pytest.approx(np.log(30 / 70), abs=1e-10)
 
 
@@ -174,11 +192,12 @@ def test_nonconvergence_reports_diagnostics(monkeypatch):
     y = (RNG.random(n) < 1 / (1 + np.exp(-x))).astype(float)
     X = np.column_stack([np.ones(n), x])
     monkeypatch.setattr(glm_engine, "MAX_ITERATIONS", 1)
-    res = fit_arrays(_design(X, cluster_ids=np.arange(n) % 5), y, BINOMIAL_LOGIT)
-    assert not res.converged
-    assert res.n_iterations == 1
-    assert res.robust_cov is None
-    assert len(res.deviance_trace) == 2
+    with pytest.raises(NonConvergence) as e:
+        fit_arrays(_design(X, cluster_ids=np.arange(n) % 5), y, BINOMIAL_LOGIT)
+    trace = e.value.deviance_trace
+    assert len(trace) == 2
+    assert str(e.value) == (
+        f"IRLS did not converge in 1 iterations; last deviances {trace[0]!r}, {trace[1]!r}")
 
 
 # -- robust covariance -------------------------------------------------------
@@ -326,7 +345,7 @@ def _canned_fit(coefs, cov, names=None):
         family=BINOMIAL_LOGIT, names=names or [f"b{i}" for i in range(k)],
         coefficients=np.asarray(coefs, float), model_cov=np.asarray(cov, float),
         robust_cov=np.asarray(cov, float), dispersion=None, deviance=0.0,
-        n_iterations=1, converged=True, n_obs=10, n_clusters=5,
+        n_iterations=1, n_obs=10, n_clusters=5,
     )
 
 
@@ -343,7 +362,7 @@ def test_wald_one_df_reference_value():
 def test_wald_two_df_reference_value():
     # W = 2 on 2 df has survival probability exp(-1)
     res = _canned_fit([1.0, 1.0], np.eye(2))
-    w = wald_test(res, [0, 1])
+    w = wald_test(res, ["b0", "b1"])
     assert w.statistic == pytest.approx(2.0)
     assert w.p_value == pytest.approx(np.exp(-1.0), rel=1e-12)
 
@@ -351,9 +370,17 @@ def test_wald_two_df_reference_value():
 def test_wald_correlated_block():
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     res = _canned_fit([1.0, -1.0], cov)
-    w = wald_test(res, [0, 1])
+    w = wald_test(res, ["b0", "b1"])
     b = np.array([1.0, -1.0])
     assert w.statistic == pytest.approx(b @ np.linalg.solve(cov, b), rel=1e-12)
+
+
+def test_wald_test_takes_coefficient_names_only():
+    # as coef, confidence_interval and marginal_effect do
+    res = _canned_fit([2.0, 1.0], np.eye(2))
+    assert wald_test(res, ["b1"]).statistic == 1.0
+    with pytest.raises(ValueError):
+        wald_test(res, [0])
 
 
 def test_confidence_interval_z_critical():
@@ -368,7 +395,7 @@ def test_confidence_interval_z_critical():
 def test_wald_p_value_matches_chi2_sf(df):
     for W in [0.0, 1e-12, 0.05, 0.5, 1.0, 3.84, 10.0, 40.0, 200.0]:
         res = _canned_fit([np.sqrt(W / df)] * df, np.eye(df))
-        w = wald_test(res, list(range(df)))
+        w = wald_test(res, res.names)
         assert w.statistic == pytest.approx(W, rel=1e-12, abs=1e-15)
         assert w.p_value == pytest.approx(stats.chi2.sf(w.statistic, df), rel=1e-10, abs=1e-300)
 
@@ -384,14 +411,14 @@ def test_wald_tiny_negative_statistic_has_p_one():
 def test_wald_leaves_out_zero_variance_coefficients():
     # an exact-null coefficient: estimate and variance both at zero
     res = _canned_fit([1e-16, 2.0], [[0.0, 0.0], [0.0, 4.0]])
-    assert wald_test(res, [0, 1]) == wald_test(res, [1])
-    assert wald_test(res, [1]).df == 1 and wald_test(res, [1]).statistic == 1.0
-    assert wald_test(res, [0]) == WaldResult(0.0, 0, 1.0)
+    assert wald_test(res, ["b0", "b1"]) == wald_test(res, ["b1"])
+    assert wald_test(res, ["b1"]).df == 1 and wald_test(res, ["b1"]).statistic == 1.0
+    assert wald_test(res, ["b0"]) == WaldResult(0.0, 0, 1.0)
     # a zero variance under a nonzero estimate leaves nothing to scale it by
     res = _canned_fit([1.0, 2.0], [[0.0, 0.0], [0.0, 4.0]])
-    for idx in ([0], [0, 1]):
+    for names in (["b0"], ["b0", "b1"]):
         with pytest.raises(SingularSubmatrix):
-            wald_test(res, idx)
+            wald_test(res, names)
 
 
 def test_exact_null_fit_has_zero_robust_variance():
@@ -538,13 +565,3 @@ def test_marginal_effect_absent_term_raises():
     res = _canned_fit([1.0], [[1.0]])
     with pytest.raises(ValueError):
         marginal_effect(res, "not_there")
-
-
-def test_marginal_effect_needs_the_robust_covariance(monkeypatch):
-    # a fit that stops short of convergence has no robust covariance
-    X, y = _grouped_binary()
-    monkeypatch.setattr(glm_engine, "MAX_ITERATIONS", 1)
-    res = fit_arrays(_design(X, ["intercept", "x"]), y, BINOMIAL_LOGIT)
-    assert not res.converged and res.robust_cov is None
-    with pytest.raises(GlmError):
-        marginal_effect(res, "x")

@@ -12,7 +12,6 @@ from rxdid.claims_core import (
     ProviderType,
     Setting,
     Sex,
-    StudyCalendar,
     store_from_records,
 )
 from rxdid.cohort_builder import CohortRow, Exposure, LosCategory, Period
@@ -32,7 +31,6 @@ from rxdid.measures import (
 from rxdid.prescriber_profile import IndexEvent
 from rxdid.study_analysis import OUTCOMES
 
-CAL = StudyCalendar()
 CATALOG = [
     DrugCatalogEntry("HYD5", OpioidIngredient.HYDROCODONE, True, 5.0, 1.0),
     DrugCatalogEntry("OXY5", OpioidIngredient.OXYCODONE, True, 5.0, 1.5),
@@ -73,7 +71,7 @@ def _row_and_store(fills, medical_extra=(), birth_year=1960):
         for d, code, qty in fills
     ]
     store = store_from_records(
-        CAL, [], pharmacy, [claim] + list(medical_extra),
+        [], pharmacy, [claim] + list(medical_extra),
         [PersonDemographics("p1", birth_year, Sex.FEMALE)], CATALOG,
     )
     first = [f for f in pharmacy

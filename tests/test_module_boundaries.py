@@ -65,3 +65,41 @@ def test_generator_draws_through_public_random_methods():
     # The generated data are the draws of random.Random's documented methods;
     # a private helper such as rng._randbelow ties them to one CPython's internals.
     assert _private_attributes(SRC / "synthgen.py") == []
+
+
+def _exceptions_defined_in_rxdid():
+    import importlib
+    import inspect
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"rxdid.{path.stem}" if path.stem != "__init__"
+                                         else "rxdid")
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, Exception) and cls.__module__ == module.__name__]
+    return found
+
+
+def test_every_rxdid_exception_exits_1_or_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # Whatever a step raises of rxdid's own errors ends in exit 1 or 2 and
+    # one line, never in a traceback.
+    import rxdid.cli as cli
+
+    classes = _exceptions_defined_in_rxdid()
+    assert len(classes) > 20
+    exits = {}
+    for cls in classes:
+        error = cls.__new__(cls)
+        error.args = ("raised in a step",)
+
+        def step(args, run, _error=error):
+            raise _error
+        monkeypatch.setitem(cli._STEP_FUNCS, "describe", step)
+        try:
+            exits[cls.__name__] = cli.main(["describe", "--out", str(tmp_path)])
+        except Exception:
+            exits[cls.__name__] = "uncaught"
+        err = capsys.readouterr().err
+        if exits[cls.__name__] in (1, 2):
+            assert err.endswith(": raised in a step\n") and len(err.splitlines()) == 1
+    assert {name: code for name, code in exits.items() if code not in (1, 2)} == {}

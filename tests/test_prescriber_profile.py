@@ -14,7 +14,6 @@ from rxdid.claims_core import (
     ProviderType,
     Setting,
     Sex,
-    StudyCalendar,
     store_from_records,
 )
 from rxdid.prescriber_profile import (
@@ -36,10 +35,9 @@ CATALOG = [
 
 
 def _store(medical, pharmacy):
-    cal = StudyCalendar()
     persons = [PersonDemographics(pid, 1960, Sex.MALE)
                for pid in {c.person_id for c in medical}]
-    return store_from_records(cal, [], pharmacy, medical, persons, CATALOG)
+    return store_from_records([], pharmacy, medical, persons, CATALOG)
 
 
 def _med(claim_id, person, cpt, service, provider="dr1", dx=()):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rxdid import glm_engine
+from rxdid import glm_engine, study_analysis
 from rxdid.claims_core import StudyCalendar, write_json
 from rxdid.glm_engine import NonConvergence
 from rxdid.study_analysis import (
@@ -111,15 +111,24 @@ def test_did_empty_cell_degenerate():
         run_did(table, "any_refill_30d", design=did_design(table, []))
 
 
-def test_did_dropped_interaction_is_degenerate():
+def test_did_dropped_interaction_is_degenerate(monkeypatch):
     # A covariate that is a larger multiple of exposed:post takes the pivot
-    # first, so the rank check drops the tested term itself.
+    # first, so the rank check drops the tested term itself. The design is
+    # refused once, before any outcome is fitted on it.
     table = _binary_table([
         (1, 0, 100, 20), (0, 0, 100, 10), (1, 1, 100, 10), (0, 1, 100, 10),
     ])
     table["dose"] = 3.0 * table["exposed"] * table["post"]
-    with pytest.raises(DegenerateDesign, match="exposed:post dropped as collinear"):
-        run_did(table, "any_refill_30d", design=did_design(table, ["dose"]))
+    table["persistent_use_90_180"] = table["any_refill_30d"][::-1].copy()
+    design = did_design(table, ["dose"])
+
+    def fitted(*args, **kwargs):
+        raise AssertionError("a refused design was fitted")
+    monkeypatch.setattr(study_analysis, "fit_arrays", fitted)
+    for outcome in ("any_refill_30d", "persistent_use_90_180"):
+        with pytest.raises(DegenerateDesign) as e:
+            run_did(table, outcome, design=design)
+        assert str(e.value) == f"{outcome}: exposed:post dropped as collinear with the other columns"
 
 
 def test_did_nonconvergence_raises_with_diagnostics(monkeypatch):
