@@ -15,6 +15,7 @@ from .claims_core import (
     StudyCalendar,
     TextMemo,
     days_between,
+    gc_paused,
     opioid_fills_in_window,
     read_reference_csv,
     write_csv,
@@ -179,6 +180,7 @@ def _evaluate_person(
     return CohortRow(person_id, exposure, period, event, age, demo.sex, los_category(claim))
 
 
+@gc_paused
 def build_cohort(
     store: ClaimsStore,
     profiles: dict[str, ProviderProfile],

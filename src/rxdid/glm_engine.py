@@ -222,47 +222,58 @@ def _dependent_columns(X: np.ndarray) -> list[int]:
     return sorted(bad)
 
 
-def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^-1 B by the Cholesky factor A = LL'; LinAlgError unless A is
-    numerically positive definite."""
-    L = np.linalg.cholesky(A)
-    return np.linalg.solve(L.T, np.linalg.solve(L, B))
+class _NormalEquations:
+    """X'WX b = X'Wz and (X'WX)^-1 for one X, by the Cholesky factor
+    X'WX = LL'. The factor is kept while the weights stay equal: a
+    gamma(log) fit's are identically 1, so its steps and its bread share
+    one factor. Where X'WX is not numerically positive definite, each
+    call solves by thin QR on the scaled system and nothing is kept."""
 
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.w = self.Xw = self.L = None
 
-def _wls_step(X: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Weighted least squares from the normal equations X'WX b = X'Wz.
+    def _factor(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """X*w and L at w; LinAlgError unless X'WX is numerically positive definite."""
+        if self.w is None or not np.array_equal(w, self.w):
+            # the old n x p X*w goes before the new one is made
+            self.w = self.Xw = self.L = None
+            Xw = self.X * w[:, None]
+            L = np.linalg.cholesky(Xw.T @ self.X)
+            self.w, self.Xw, self.L = w, Xw, L
+        return self.Xw, self.L
 
-    Cholesky solve; thin QR on the scaled system when X'WX is not
-    numerically positive definite.
-    """
-    Xw = X * w[:, None]
-    try:
-        return _cholesky_solve(Xw.T @ X, Xw.T @ z)
-    except np.linalg.LinAlgError:
-        sw = np.sqrt(w)
-        Q, R = np.linalg.qr(X * sw[:, None])
-        # R is upper triangular, so LU's partial pivoting keeps its rows
-        # in place and this solve is back substitution
-        return np.linalg.solve(R, Q.T @ (z * sw))
+    def wls_step(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Weighted least squares from the normal equations X'WX b = X'Wz."""
+        try:
+            Xw, L = self._factor(w)
+        except np.linalg.LinAlgError:
+            sw = np.sqrt(w)
+            Q, R = np.linalg.qr(self.X * sw[:, None])
+            # R is upper triangular, so LU's partial pivoting keeps its rows
+            # in place and this solve is back substitution
+            return np.linalg.solve(R, Q.T @ (z * sw))
+        return np.linalg.solve(L.T, np.linalg.solve(L, Xw.T @ z))
 
-
-def _information_inverse(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(X'WX)^-1 from one Cholesky factor, or from R of the scaled thin QR
-    when Cholesky fails; symmetrized."""
-    p = X.shape[1]
-    try:
-        inv = _cholesky_solve((X * w[:, None]).T @ X, np.eye(p))
-    except np.linalg.LinAlgError:
-        R = np.linalg.qr(X * np.sqrt(w)[:, None], mode="r")
-        R_inv = np.linalg.solve(R, np.eye(p))
-        inv = R_inv @ R_inv.T
-    return (inv + inv.T) / 2.0
+    def information_inverse(self, w: np.ndarray) -> np.ndarray:
+        """(X'WX)^-1, symmetrized."""
+        p = self.X.shape[1]
+        try:
+            _, L = self._factor(w)
+        except np.linalg.LinAlgError:
+            R = np.linalg.qr(self.X * np.sqrt(w)[:, None], mode="r")
+            R_inv = np.linalg.solve(R, np.eye(p))
+            inv = R_inv @ R_inv.T
+        else:
+            inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(p)))
+        return (inv + inv.T) / 2.0
 
 
 def cluster_codes(cluster_ids) -> tuple[np.ndarray, int]:
     """Integer codes 0..G-1 of the ids, in the ids' sorted order, and G."""
-    uniq, codes = np.unique(np.asarray(cluster_ids), return_inverse=True)
-    return codes, len(uniq)
+    # a dict lookup per id: np.unique on an object array sorts every id
+    code = {cid: k for k, cid in enumerate(sorted(set(cluster_ids)))}
+    return np.fromiter(map(code.__getitem__, cluster_ids), np.intp, len(cluster_ids)), len(code)
 
 
 @dataclass(frozen=True)
@@ -300,6 +311,7 @@ def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
 
     X = design.X
     n, p = X.shape
+    normal = _NormalEquations(X)
     mu = fam.clip_mu(fam.init_mu(y))
     eta = fam.link(mu)
     deviance = fam.deviance(y, mu)
@@ -307,7 +319,7 @@ def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
     for iterations in range(1, MAX_ITERATIONS + 1):
         w = fam.irls_weights(mu)
         z = fam.working_response(eta, y, mu)
-        beta = _wls_step(X, w, z)
+        beta = normal.wls_step(w, z)
         eta = X @ beta
         mu = fam.clip_mu(fam.inv_link(eta))
         new_deviance = fam.deviance(y, mu)
@@ -328,7 +340,8 @@ def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
     # a constant response is rejected in check_response above.
     # One factor of the expected information X'WX serves model_cov and
     # the sandwich bread.
-    bread = _information_inverse(X, fam.irls_weights(mu))
+    bread = normal.information_inverse(fam.irls_weights(mu))
+    del normal  # so that its n x p X*w and the sandwich's scores are not alive together
 
     dispersion = None
     model_cov = bread

@@ -14,6 +14,7 @@ from .claims_core import (
     OpioidIngredient,
     PharmacyClaim,
     ProviderType,
+    gc_paused,
     index_anchor_dates,
     opioid_fills_in_window,
     read_reference_csv,
@@ -182,6 +183,7 @@ def index_event_for(
     return IndexEvent(name, claim, early, late, first)
 
 
+@gc_paused
 def find_index_events(
     store: ClaimsStore,
     codes: ProcedureCodeSet,

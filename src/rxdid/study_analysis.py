@@ -14,6 +14,7 @@ from .claims_core import (
     StudyCalendar,
     TextMemo,
     days_between,
+    gc_paused,
     load_json,
     read_reference_csv,
     write_csv,
@@ -85,6 +86,7 @@ def _table(rows: list[tuple], flat: list) -> dict:
     return table
 
 
+@gc_paused
 def build_analysis_table(
     rows: list[CohortRow],
     store: ClaimsStore,

@@ -25,6 +25,7 @@ from .claims_core import (
     Sex,
     StudyCalendar,
     days_between,
+    gc_paused,
     load_json,
     store_from_records,
     write_json,
@@ -239,6 +240,7 @@ def weighted_index(random, cum_weights: list) -> int:
 _MARGIN_DAYS = 366
 
 
+@gc_paused
 def generate(
     config: SimConfig,
     out_dir: str | None = None,

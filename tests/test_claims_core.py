@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import gc
 import os
 import tempfile
 from datetime import date, timedelta
@@ -6,6 +8,8 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
+from rxdid import claims_core, cohort_builder, prescriber_profile, study_analysis, synthgen
+from rxdid.measures import ComorbidityMap
 from rxdid.claims_core import (
     DrugCatalogEntry,
     EnrollmentSpan,
@@ -418,3 +422,109 @@ def test_csv_and_json_files_are_written_and_read_only_in_claims_core():
     assert all(call in texts["claims_core.py"] for call in calls)
     assert [(name, call) for name, text in texts.items() if name != "claims_core.py"
             for call in calls if call in text] == []
+
+
+# -- the collector pause ------------------------------------------------------
+
+@pytest.fixture
+def collector():
+    """Yields with the cyclic collector enabled, and enables it again
+    whatever the test left."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    from conftest import simulated_pipeline
+
+    run = simulated_pipeline(
+        synthgen.SimConfig(seed=11, n_providers=30, patients_per_provider_quarter=1.0))
+    input_dir = str(tmp_path_factory.mktemp("inputs"))
+    write_store(run.store, input_dir)
+    return run, input_dir
+
+
+def _builder_calls(run, input_dir):
+    """Each record builder: (module, a callee it looks up there, a call of it)."""
+    cal = StudyCalendar()
+    codes = prescriber_profile.ProcedureCodeSet()
+    return {
+        "generate": (synthgen, "store_from_records", lambda: synthgen.generate(
+            synthgen.SimConfig(seed=3, n_providers=5, patients_per_provider_quarter=1.0))),
+        "parse_inputs": (claims_core, "store_from_records",
+                         lambda: claims_core.parse_inputs(input_dir)),
+        "find_index_events": (prescriber_profile, "eligible_procedures",
+                              lambda: prescriber_profile.find_index_events(
+                                  run.store, codes, cal.profiling_start, cal.profiling_end)),
+        "build_cohort": (cohort_builder, "_evaluate_person", lambda: cohort_builder.build_cohort(
+            run.store, run.profiles, cal, codes)),
+        "build_analysis_table": (study_analysis, "compute_outcomes",
+                                 lambda: study_analysis.build_analysis_table(
+                                     run.rows, run.store, ComorbidityMap.default(),
+                                     frozenset(synthgen.ANTIDEPRESSANT_CODES))),
+    }
+
+
+BUILDERS = ["generate", "parse_inputs", "find_index_events", "build_cohort",
+            "build_analysis_table"]
+
+
+class _Raised(Exception):
+    pass
+
+
+def _observe(monkeypatch, module, callee, raises=False):
+    """Each state of the collector that the callee is called in."""
+    seen = []
+
+    def observed(*args, _fn=getattr(module, callee), **kwargs):
+        seen.append(gc.isenabled())
+        if raises:
+            raise _Raised
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(module, callee, observed)
+    return seen
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_builder_runs_with_the_collector_paused(monkeypatch, collector, small_run, builder):
+    module, callee, call = _builder_calls(*small_run)[builder]
+    seen = _observe(monkeypatch, module, callee)
+    call()
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_builder_restores_the_collector_when_it_raises(monkeypatch, collector, small_run,
+                                                       builder):
+    module, callee, call = _builder_calls(*small_run)[builder]
+    seen = _observe(monkeypatch, module, callee, raises=True)
+    with pytest.raises(_Raised):
+        call()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_builder_leaves_a_disabled_collector_disabled(monkeypatch, collector, small_run,
+                                                      builder):
+    module, callee, call = _builder_calls(*small_run)[builder]
+    seen = _observe(monkeypatch, module, callee)
+    gc.disable()
+    call()
+    assert seen and not any(seen)
+    assert not gc.isenabled()
+
+
+def test_build_cohort_restores_the_collector_after_an_uncatalogued_fill(collector, small_run):
+    run, _ = small_run
+    uncatalogued = dataclasses.replace(run.store, catalog={})
+    cal = StudyCalendar()
+    with pytest.raises(MissingCatalogEntry):
+        cohort_builder.build_cohort(uncatalogued, run.profiles, cal,
+                                    prescriber_profile.ProcedureCodeSet())
+    assert gc.isenabled()
+

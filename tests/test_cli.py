@@ -1,6 +1,7 @@
 """CLI exit codes, run-directory outputs, and byte-level reproducibility."""
 import builtins
 import collections
+import gc
 import hashlib
 import json
 import os
@@ -19,11 +20,12 @@ import rxdid.study_analysis as sa
 from rxdid.cli import STEPS, main
 from conftest import simulated_pipeline
 from rxdid.glm_engine import fit_arrays
-from rxdid.claims_core import StudyCalendar
+from rxdid.claims_core import ClaimsError, StudyCalendar
 from rxdid.cohort_builder import Period
 from rxdid.measures import compute_outcomes, mme_of_fill
 from rxdid.study_analysis import (
     ANALYSIS_TABLE_COLUMNS,
+    AnalysisError,
     read_analysis_table,
     write_analysis_table,
 )
@@ -493,6 +495,29 @@ def test_steps_leave_shared_table_unchanged(tmp_path, sim_file, monkeypatch):
     assert main(["all", "--out", str(tmp_path / "a"), "--sim", sim_file]) == 0
     (table,) = built
     assert digests == [_column_digests(table)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raised, code", [
+    (None, 0), (ClaimsError("bad input"), 1), (AnalysisError("no fit"), 2),
+])
+def test_main_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, capsys,
+                                                   enabled, raised, code):
+    seen = []
+
+    def step(args, run):
+        seen.append(gc.isenabled())
+        if raised is not None:
+            raise raised
+        return []
+    monkeypatch.setitem(cli._STEP_FUNCS, "simulate", step)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["simulate", "--out", str(tmp_path / "run")]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

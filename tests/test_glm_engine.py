@@ -337,6 +337,94 @@ def test_qr_fallback_matches_cholesky(monkeypatch, family):
     assert np.allclose(qr.model_cov, res.model_cov, rtol=1e-10, atol=0)
 
 
+def _counted_cholesky(monkeypatch):
+    calls = []
+
+    def counted(A, _cholesky=np.linalg.cholesky):
+        calls.append(A.shape)
+        return _cholesky(A)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def test_gamma_log_fit_factors_its_information_once(monkeypatch):
+    # its IRLS weights are identically 1: every step and the bread share X'WX
+    res, cid = _clustered_fit(family=GAMMA_LOG)
+    calls = _counted_cholesky(monkeypatch)
+    fit = fit_arrays(_design(res.X, cluster_ids=cid), res.y, GAMMA_LOG)
+    assert fit.n_iterations > 2 and len(calls) == 1
+
+
+def test_logistic_fit_factors_at_each_step_and_for_its_bread(monkeypatch):
+    res, cid = _clustered_fit()
+    calls = _counted_cholesky(monkeypatch)
+    fit = fit_arrays(_design(res.X, cluster_ids=cid), res.y, BINOMIAL_LOGIT)
+    assert fit.n_iterations > 2 and len(calls) == fit.n_iterations + 1
+
+
+def _refactored_fit(design, y, family):
+    """fit_arrays's IRLS with X'WX formed and Cholesky-factored afresh at
+    each step and again for the bread, as each step's weighted least squares
+    and the information inverse did on their own: (coefficients, mu, bread)."""
+    fam = glm_engine._FAMILIES[family]
+    X = design.X
+
+    def factored(w):
+        Xw = X * w[:, None]
+        return Xw, np.linalg.cholesky(Xw.T @ X)
+
+    mu = fam.clip_mu(fam.init_mu(y))
+    eta = fam.link(mu)
+    deviance = fam.deviance(y, mu)
+    for _ in range(glm_engine.MAX_ITERATIONS):
+        Xw, L = factored(fam.irls_weights(mu))
+        z = fam.working_response(eta, y, mu)
+        beta = np.linalg.solve(L.T, np.linalg.solve(L, Xw.T @ z))
+        eta = X @ beta
+        mu = fam.clip_mu(fam.inv_link(eta))
+        new_deviance = fam.deviance(y, mu)
+        change = abs(new_deviance - deviance)
+        if (change < glm_engine.ABS_DEVIANCE_TOL
+                or change < glm_engine.REL_DEVIANCE_TOL * (abs(deviance) + 1e-300)):
+            break
+        deviance = new_deviance
+    _, L = factored(fam.irls_weights(mu))
+    inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(X.shape[1])))
+    return beta, mu, (inv + inv.T) / 2.0
+
+
+@pytest.mark.parametrize("family", [BINOMIAL_LOGIT, GAMMA_LOG])
+def test_kept_factor_leaves_every_bit_of_the_fit(family):
+    res, cid = _clustered_fit(G=30, per=10, family=family)
+    X = np.column_stack([res.X, RNG.normal(size=(res.n_obs, 3))])
+    design = _design(X, cluster_ids=cid)
+    fit = fit_arrays(design, res.y, family)
+    beta, mu, bread = _refactored_fit(design, res.y, family)
+    assert fit.coefficients.tobytes() == beta.tobytes()
+    assert fit.mu.tobytes() == mu.tobytes()
+    assert fit.bread.tobytes() == bread.tobytes()
+    model_cov = bread if fit.dispersion is None else fit.dispersion * bread
+    assert fit.model_cov.tobytes() == model_cov.tobytes()
+    ref = FitResult(family, fit.names, beta, None, None, None, 0.0, 0, fit.n_obs,
+                    fit.n_clusters, X=design.X, y=fit.y, mu=mu, bread=bread)
+    robust = cluster_robust_cov(ref, design.cluster_codes, design.n_clusters)
+    assert fit.robust_cov.tobytes() == robust.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=4),
+             max_size=40),
+    st.lists(st.integers(-2**40, 2**40), max_size=40),
+))
+def test_cluster_codes_match_numpy_unique(ids):
+    uniq, expected = np.unique(np.asarray(ids), return_inverse=True)
+    for given_ids in (ids, np.asarray(ids, dtype=object)):
+        codes, G = cluster_codes(given_ids)
+        assert G == len(uniq)
+        assert codes.dtype == expected.dtype and np.array_equal(codes, expected.ravel())
+
+
 # -- Wald, AME, CI -----------------------------------------------------------
 
 def _canned_fit(coefs, cov, names=None):

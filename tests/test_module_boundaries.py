@@ -1,9 +1,13 @@
 """No rxdid module imports another module's private (underscore) names;
 dunders such as ``__version__`` are public. No rxdid module imports scipy,
 which only the tests use. The generator draws through public
-``random.Random`` methods only."""
+``random.Random`` methods only. Only claims_core's gc_paused switches the
+cyclic garbage collector, and importing rxdid leaves it as it was."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rxdid"
 
@@ -103,3 +107,41 @@ def test_every_rxdid_exception_exits_1_or_2_with_one_line(tmp_path, monkeypatch,
         if exits[cls.__name__] in (1, 2):
             assert err.endswith(": raised in a step\n") and len(err.splitlines()) == 1
     assert {name: code for name, code in exits.items() if code not in (1, 2)} == {}
+
+
+_GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+
+
+def _gc_switches(path: pathlib.Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in _GC_SWITCHES:
+            hit = isinstance(node.value, ast.Name) and node.value.id == "gc"
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            hit = any(alias.name in _GC_SWITCHES for alias in node.names)
+        else:
+            continue
+        if hit:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_gc_paused_switches_the_collector():
+    hits = {path.name: _gc_switches(path) for path in sorted(SRC.glob("*.py"))}
+    assert len(hits["claims_core.py"]) == 2  # gc_paused's disable and enable
+    assert [hit for name, found in hits.items() if name != "claims_core.py"
+            for hit in found] == []
+
+
+def test_importing_rxdid_leaves_the_collector_as_it_was():
+    modules = ", ".join(["rxdid"] + [f"rxdid.{path.stem}" for path in sorted(SRC.glob("*.py"))
+                                     if path.stem != "__init__"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    for switch in ("gc.enable()", "gc.disable()"):
+        code = (f"import gc; gc.set_threshold(555, 7, 3); {switch}; "
+                "before = (gc.isenabled(), gc.get_threshold()); "
+                f"import {modules}; print(before == (gc.isenabled(), gc.get_threshold()))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert run.stdout == "True\n"
