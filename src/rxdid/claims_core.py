@@ -15,7 +15,7 @@ import operator
 import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 
 class ClaimsError(Exception):
@@ -147,38 +147,49 @@ class StudyCalendar:
 
     @classmethod
     def from_file(cls, path: str) -> "StudyCalendar":
-        """Read a ``key=ISO-date`` override file.
-
-        Accepted keys: pre_start, pre_end, post_start, post_end, each at
-        most once; blank lines and ``#`` comments are skipped. The
-        profiling window is pinned to the pre window, so profiling_start
-        and profiling_end are unknown keys. Every error names the file, and
-        the line where there is one.
-        """
-        values = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, val = line.partition("=")
-                key = key.strip()
-                try:
-                    if not sep:
-                        raise ValueError(f"expected key=ISO-date, got {line!r}")
-                    if key not in ("pre_start", "pre_end", "post_start", "post_end"):
-                        raise ValueError(f"unknown calendar key {key!r}")
-                    if key in values:
-                        raise ValueError(f"calendar key {key!r} given twice")
-                    values[key] = parse_iso_date(val.strip())
-                except ValueError as e:
-                    raise MalformedRow(path, lineno, str(e)) from None
-                except InvalidDate as e:
-                    raise MalformedRow(path, lineno, f"{key}: {e}") from None
+        """Read pre_start, pre_end, post_start and post_end from a settings
+        file (read_settings). The profiling window is the pre window, so
+        profiling_start and profiling_end are unknown keys."""
+        values, unknown = read_settings(path, cls, "calendar", "key=ISO-date")
+        if unknown:
+            lineno, key, _ = unknown[0]
+            raise MalformedRow(path, lineno, f"unknown calendar key {key!r}")
         try:
             return cls(**values)
         except CalendarMisconfigured as e:
             raise CalendarMisconfigured(f"{path}: {e}") from None
+
+
+def read_settings(path: str, cls, kind: str, form: str) -> tuple[dict, list]:
+    """The ``key = value`` lines of ``path``: the values of keys that name
+    an int, float or date field of dataclass ``cls``, each parsed by its
+    field's declared type, and (line, key, text) for each other key.
+    ``#`` starts a comment anywhere on a line; blank lines are skipped. A
+    line without ``=`` (``form`` shows one), a ``kind`` key given twice or
+    a value its type rejects is a MalformedRow naming the file and line.
+    """
+    parsers = {int: int, float: float, date: date.fromisoformat}
+    types = {k: parsers[t] for k, t in get_type_hints(cls).items() if t in parsers}
+    values, unknown, seen = {}, [], set()
+    with open(path, encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, text = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise MalformedRow(path, lineno, f"expected {form}, got {line!r}")
+            if key in seen:
+                raise MalformedRow(path, lineno, f"{kind} key {key!r} given twice")
+            seen.add(key)
+            if key not in types:
+                unknown.append((lineno, key, text))
+                continue
+            try:
+                values[key] = types[key](text)
+            except ValueError as e:
+                raise MalformedRow(path, lineno, f"{key}: {e}") from None
+    return values, unknown
 
 
 class EnrollmentSpan(NamedTuple):

@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -251,7 +252,7 @@ def _run_id(run: _Run) -> str:
 def step_simulate(args, run: _Run) -> list[str]:
     config = SimConfig.from_file(args.sim) if args.sim else SimConfig()
     if args.seed is not None:
-        config = SimConfig(**{**config.__dict__, "seed": args.seed})
+        config = replace(config, seed=args.seed)
     inputs = os.path.join(args.out, "inputs")
     # Equal to what parse_inputs reads back from the files generate writes.
     run.store, run.truth = generate(config, out_dir=inputs, calendar=run.calendar)

@@ -19,6 +19,7 @@ from .claims_core import (
     write_csv,
 )
 from .cohort_builder import CohortRow, LosCategory
+from .prescriber_profile import DEFAULT_PROCEDURES
 
 REFILL_WINDOW = 30
 PERSISTENCE_START = 90
@@ -207,19 +208,9 @@ def write_comorbidity_map_csv(path: str, cmap: ComorbidityMap) -> None:
 
 COMORBIDITY_ORDER = list(DEFAULT_COMORBIDITY_MAP)
 
-# Procedure indicators; laparoscopic cholecystectomy is the reference.
+# Procedure indicators: one per study procedure but the reference.
 PROCEDURE_REFERENCE = "laparoscopic_cholecystectomy"
-PROCEDURE_ORDER = [
-    "carpal_tunnel_release",
-    "open_cholecystectomy",
-    "inguinal_hernia_repair",
-    "knee_arthroscopy",
-    "total_knee_replacement",
-    "total_hip_replacement",
-    "laparoscopic_appendectomy",
-    "open_appendectomy",
-    "breast_excision",
-]
+PROCEDURE_ORDER = [name for name in DEFAULT_PROCEDURES if name != PROCEDURE_REFERENCE]
 
 # The covariates read off the cohort row, in the order compute_covariates lists them.
 _ROW_COVARIATES = ["age", "sex_female", "provider_group_practice", "los_1_2", "los_3plus"]

@@ -38,6 +38,10 @@ class AmbiguousProcedureCode(ClaimsError):
     pass
 
 
+class UnknownProcedure(ClaimsError):
+    pass
+
+
 # Classification defaults: among providers with at least MIN_CASES index
 # events, a hydrocodone share at or above HIGH_SHARE is a prescriber and
 # one at or below LOW_SHARE a non-prescriber.
@@ -109,6 +113,9 @@ class ProcedureCodeSet:
             path, PROCEDURE_COLUMNS, lambda row: (row[0].strip(), row[1].strip())
         ):
             procs.setdefault(name, set()).add(cpt)
+        unknown = sorted(set(procs) - set(DEFAULT_PROCEDURES))
+        if unknown:
+            raise UnknownProcedure(f"{path}: unknown procedures {unknown}")
         return cls({name: frozenset(codes) for name, codes in procs.items()})
 
 

@@ -16,6 +16,7 @@ from .claims_core import (
     ClaimsStore,
     DrugCatalogEntry,
     EnrollmentSpan,
+    MalformedRow,
     MedicalClaim,
     OpioidIngredient,
     PersonDemographics,
@@ -27,6 +28,7 @@ from .claims_core import (
     days_between,
     gc_paused,
     load_json,
+    read_settings,
     store_from_records,
     write_json,
     write_store,
@@ -125,7 +127,7 @@ class SimConfig:
         default_factory=lambda: dict(DEFAULT_PROCEDURE_WEIGHTS)
     )
 
-    def validate(self) -> None:
+    def __post_init__(self):
         problems = [f"{f.name}={getattr(self, f.name)} must be finite" for f in fields(self)
                     if f.type == "float" and not math.isfinite(getattr(self, f.name))]
         for name in (
@@ -160,36 +162,24 @@ class SimConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SimConfig":
-        """Flat key = value config; unknown keys are rejected."""
-        values: dict = {}
-        weights: dict = {}
-        with open(path, encoding="utf-8") as f:
-            for raw in f:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, val = line.partition("=")
-                if not sep:
-                    raise InvalidConfig(f"bad config line {raw.strip()!r}")
-                key = key.strip()
-                val = val.strip()
-                if key.startswith("proc_weight_"):
-                    target, name, ftype = weights, key[len("proc_weight_"):], "float"
-                elif key in cls.__dataclass_fields__ and key != "procedure_weights":
-                    target, name, ftype = values, key, cls.__dataclass_fields__[key].type
-                else:
-                    raise InvalidConfig(f"unknown config key {key!r}")
-                try:
-                    target[name] = int(val) if ftype == "int" else float(val)
-                except ValueError:
-                    kind = "an integer" if ftype == "int" else "a number"
-                    raise InvalidConfig(f"config key {key!r} needs {kind}, got {val!r}") from None
+        """Read the config's fields and ``proc_weight_<procedure>`` numbers
+        from a settings file (read_settings); unnamed procedures weigh 0."""
+        values, unknown = read_settings(path, cls, "config", "key = value")
+        weights = {}
+        for lineno, key, text in unknown:
+            name = key.removeprefix("proc_weight_")
+            if name == key or name not in DEFAULT_PROCEDURE_WEIGHTS:
+                raise InvalidConfig(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                weights[name] = float(text)
+            except ValueError as e:
+                raise MalformedRow(path, lineno, f"{key}: {e}") from None
         if weights:
-            unknown = set(weights) - set(DEFAULT_PROCEDURE_WEIGHTS)
-            if unknown:
-                raise InvalidConfig(f"unknown procedures in weights: {sorted(unknown)}")
             values["procedure_weights"] = weights
-        return cls(**values)
+        try:
+            return cls(**values)
+        except InvalidConfig as e:
+            raise InvalidConfig(f"{path}: {e}") from None
 
     def run_id(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
@@ -266,7 +256,6 @@ def generate(
     A Bernoulli trial is one ``random()`` draw whatever its probability,
     so a rate of 0 or 1 still consumes it.
     """
-    config.validate()
     calendar = calendar or StudyCalendar()
     rng = random.Random(config.seed)
     rnd = rng.random

@@ -24,12 +24,14 @@ from rxdid.claims_core import (
     Sex,
     StudyCalendar,
     CalendarMisconfigured,
+    MalformedRow,
     UnknownColumn,
     days_between,
     index_anchor_dates,
     merge_enrollment_spans,
     opioid_fills_in_window,
     parse_inputs,
+    read_settings,
     store_from_records,
     write_store,
 )
@@ -78,6 +80,49 @@ def test_calendar_defaults():
 def test_calendar_requires_washout():
     with pytest.raises(CalendarMisconfigured):
         StudyCalendar(pre_end=date(2014, 10, 6), post_start=date(2014, 10, 6))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Settings:
+    count: int = 0
+    rate: float = 0.5
+    day: date = date(2014, 1, 1)
+    names: tuple = ()
+
+
+def test_read_settings_parses_each_field_by_its_type(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text(
+        "# a comment line\n"
+        "\n"
+        "count = 7   # trailing comment\n"
+        "  rate=0.25\n"
+        "day = 2013-02-03#no space before it\n"
+        "names = a,b\n"
+        "extra = 3\n"
+    )
+    values, unknown = read_settings(str(path), _Settings, "test", "key = value")
+    assert values == {"count": 7, "rate": 0.25, "day": date(2013, 2, 3)}
+    assert type(values["count"]) is int and type(values["rate"]) is float
+    # a field of another type is no settings field
+    assert unknown == [(6, "names", "a,b"), (7, "extra", "3")]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("count = 1\ncount = 2\n", ":2: test key 'count' given twice"),
+    ("extra = 1\n\nextra = 1\n", ":3: test key 'extra' given twice"),
+    ("count 1\n", ":1: expected key = value, got 'count 1'"),
+    ("# header\ncount = 1.5\n", ":2: count: invalid literal for int()"),
+    ("rate = half\n", ":1: rate: could not convert string to float"),
+    ("day = 2014-02-30\n", ":1: day: day is out of range for month"),
+    ("day = # dateless\n", ":1: day: Invalid isoformat string: ''"),
+])
+def test_read_settings_names_the_file_and_line_of_a_bad_line(tmp_path, text, message):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    with pytest.raises(MalformedRow) as raised:
+        read_settings(str(path), _Settings, "test", "key = value")
+    assert str(raised.value).startswith(f"{path}{message}")
 
 
 def test_abutting_spans_merge():
@@ -217,6 +262,22 @@ def test_parse_merges_and_rejects(input_dir):
     assert ("medical.csv", 3) in reasons  # inpatient without discharge_date
     # diagnoses normalized dot-free
     assert store.medical["p2"][0].diagnoses == ("82021",)
+
+
+@pytest.mark.parametrize("blank", ["\n", ",,,,\n", " , ,\n"])
+def test_blank_line_inside_pharmacy_is_skipped_not_rejected(input_dir, blank):
+    expected = parse_inputs(input_dir)
+    path = os.path.join(input_dir, "pharmacy.csv")
+    with open(path, newline="") as f:
+        header, first, *rest = f.readlines()
+    with open(path, "w", newline="") as f:
+        f.writelines([header, first, blank, *rest])
+    store = parse_inputs(input_dir)
+    assert store.pharmacy == expected.pharmacy
+    assert store.parsed_counts == expected.parsed_counts
+    # the bad-quantity row keeps its own line number, one further down
+    assert [(r.filename, r.line) for r in store.rejected if r.filename == "pharmacy.csv"] == [
+        ("pharmacy.csv", 4)]
 
 
 def test_parse_accounting_identity(input_dir):

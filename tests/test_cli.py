@@ -193,6 +193,8 @@ def test_out_of_range_thresholds_are_one_line_validation_error(tmp_path, sim_fil
     ("pre_end=2014-10-06\npost_start=2014-10-06\n", ": a non-empty washout interval"),
     ("pre_start=2011-08-22\npre_start=2011-08-23\n", ":2: calendar key 'pre_start' given twice"),
     ("post_end = 2015-13-01\n", ":1: post_end: month must be in 1..12"),
+    ("pre_start=2014-08-22\n", ": pre_start must be <= pre_end"),
+    ("post_start=2015-10-06\n", ": post_start must be <= post_end"),
 ])
 def test_bad_calendar_file_is_one_line_validation_error_naming_it(tmp_path, capsys,
                                                                   text, named):
@@ -221,6 +223,67 @@ def test_bad_sim_config_value_is_one_line_validation_error(tmp_path, capsys, lin
     assert main(["simulate", "--out", str(tmp_path / "r"), "--sim", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, named", [
+    ("seed = 1\nn_providers = 50\nseed = 2\n", ":3: config key 'seed' given twice"),
+    ("seed = 1\nn_provider = 50\n", ":2: unknown config key 'n_provider'"),
+    ("# small\nn_providers = many\n", ":2: n_providers: invalid literal"),
+])
+def test_bad_sim_config_line_is_one_line_validation_error_naming_file_and_line(
+        tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", "--out", str(tmp_path / "r"), "--sim", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}{named}") and len(err.splitlines()) == 1
+
+
+def test_calendar_file_takes_trailing_comments(tmp_path, sim_file):
+    cal = tmp_path / "cal.txt"
+    cal.write_text("# the default study calendar\n"
+                   "pre_start = 2011-08-22  # study start\n"
+                   "pre_end = 2014-08-21    # last pre day\n"
+                   "post_start=2014-10-06#first post day\n")
+    out_cal, out_default = str(tmp_path / "cal"), str(tmp_path / "default")
+    assert main(["simulate", "--out", out_cal, "--sim", sim_file, "--calendar", str(cal)]) == 0
+    assert main(["simulate", "--out", out_default, "--sim", sim_file]) == 0
+    assert _tree_bytes(out_cal) == _tree_bytes(out_default)
+
+
+@pytest.mark.parametrize("seed_line", ["", "seed = 1\n"], ids=["no_seed_line", "seed_line"])
+def test_seed_flag_sets_the_simulation_seed(tmp_path, seed_line):
+    # SIM_CFG says seed = 5; --seed 5 on a config without that line, or
+    # with another seed, must give the same run.
+    assert SIM_CFG.startswith("seed = 5\n")
+    stated, flagged = tmp_path / "stated.cfg", tmp_path / "flagged.cfg"
+    stated.write_text(SIM_CFG)
+    flagged.write_text(seed_line + SIM_CFG.removeprefix("seed = 5\n"))
+    out_stated, out_flagged = str(tmp_path / "stated"), str(tmp_path / "flagged")
+    assert main(["all", "--out", out_stated, "--sim", str(stated)]) == 0
+    assert main(["all", "--out", out_flagged, "--sim", str(flagged), "--seed", "5"]) == 0
+    assert _tree_bytes(out_flagged) == _tree_bytes(out_stated)
+    assert json.load(open(os.path.join(out_flagged, "ground_truth.json")))["seed"] == 5
+
+
+def test_classify_without_inputs_dir_names_it(tmp_path, capsys):
+    out = str(tmp_path / "r")
+    os.makedirs(out)
+    assert main(["classify", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no inputs/ directory under {out};")
+    assert len(err.splitlines()) == 1
+
+
+def test_classify_with_an_input_csv_missing_names_it(tmp_path, sim_file, capsys):
+    out = str(tmp_path / "r")
+    assert main(["simulate", "--out", out, "--sim", sim_file]) == 0
+    path = os.path.join(out, "inputs", "medical.csv")
+    os.remove(path)
+    capsys.readouterr()
+    assert main(["classify", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {path}\n"
+    assert not os.path.exists(os.path.join(out, "profiles.csv"))
 
 
 def test_all_zero_procedure_weights_are_one_line_validation_error(tmp_path, capsys):
@@ -617,6 +680,8 @@ def _edit_first_row(column, value):
     ("ground_truth.json", _replace_with('{"run_id": "x"}\n'), "did", "ground_truth.json"),
     ("report.json", _replace_with("[]\n"), "check", "report.json"),
     ("inputs/comorbidity_map.csv", _append("obesity,."), "cohort", "empty icd9_prefix"),
+    ("inputs/procedures.csv", _append("spinal_fusion,22612"), "classify",
+     "procedures.csv: unknown procedures ['spinal_fusion']"),
 ], ids=["comorbidity_map_header", "comorbidity_map_missing", "comorbidity_map_unknown",
         "procedures_header", "antidepressants_header", "profiles_header",
         "comorbidity_map_one_field", "procedures_one_field", "procedures_code_twice",
@@ -628,7 +693,7 @@ def _edit_first_row(column, value):
         "analysis_table_header", "analysis_table_value", "analysis_table_binary_outcome",
         "analysis_table_nan_age", "report_not_json",
         "ground_truth_not_json", "ground_truth_missing_keys", "report_not_object",
-        "comorbidity_map_dot_prefix"])
+        "comorbidity_map_dot_prefix", "procedures_unknown_name"])
 def test_bad_reference_file_is_one_line_validation_error(
         tmp_path, sim_file, capsys, rel, edit, step, named):
     out = str(tmp_path / "r")

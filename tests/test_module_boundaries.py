@@ -2,7 +2,8 @@
 dunders such as ``__version__`` are public. No rxdid module imports scipy,
 which only the tests use. The generator draws through public
 ``random.Random`` methods only. Only claims_core's gc_paused switches the
-cyclic garbage collector, and importing rxdid leaves it as it was."""
+cyclic garbage collector, and importing rxdid leaves it as it was. Only
+claims_core, the one reader and writer of each file format, opens files."""
 import ast
 import os
 import pathlib
@@ -107,6 +108,32 @@ def test_every_rxdid_exception_exits_1_or_2_with_one_line(tmp_path, monkeypatch,
         if exits[cls.__name__] in (1, 2):
             assert err.endswith(": raised in a step\n") and len(err.splitlines()) == 1
     assert {name: code for name, code in exits.items() if code not in (1, 2)} == {}
+
+
+def _open_calls(path: pathlib.Path) -> list[str]:
+    """``<file>:<function>`` for each call of ``open`` or of an ``.open``
+    method, naming the innermost function around it."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "open"):
+            found.append(f"{path.name}:{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_claims_core_opens_files():
+    # cli hashes the finished files of a run and writes the --dump-fit text;
+    # every file format is read and written in claims_core.
+    assert _open_calls(SRC / "claims_core.py")
+    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "claims_core.py"
+            for hit in _open_calls(path)] == ["cli.py:_sha256", "cli.py:step_did"]
 
 
 _GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}

@@ -15,13 +15,17 @@ from rxdid.claims_core import (
     Setting,
     Sex,
     store_from_records,
+    write_csv,
 )
 from rxdid.prescriber_profile import (
+    DEFAULT_PROCEDURES,
+    PROCEDURE_COLUMNS,
     AmbiguousProcedureCode,
     InvalidThresholds,
     EmptyProfileSet,
     ProcedureCodeSet,
     ProviderClass,
+    UnknownProcedure,
     classify_providers,
     find_index_events,
     profile_summary,
@@ -272,3 +276,20 @@ def test_code_under_two_procedures_names_both():
             "laparoscopic_cholecystectomy": frozenset({"47562"}),
             "open_cholecystectomy": frozenset({"47600", "47562"}),
         })
+
+
+def test_procedures_file_takes_a_subset_of_the_study_procedures(tmp_path):
+    # A missing procedure has no index events; the rank check drops its column.
+    path = str(tmp_path / "procedures.csv")
+    write_csv(path, PROCEDURE_COLUMNS, [["knee_arthroscopy", "29881"], ["breast_excision", "19301"]])
+    assert ProcedureCodeSet.from_file(path).procedures == {
+        "knee_arthroscopy": frozenset({"29881"}), "breast_excision": frozenset({"19301"})}
+
+
+def test_procedures_file_rejects_a_procedure_outside_the_study(tmp_path):
+    path = str(tmp_path / "procedures.csv")
+    rows = [[name, min(codes)] for name, codes in DEFAULT_PROCEDURES.items()]
+    write_csv(path, PROCEDURE_COLUMNS, rows + [["spinal_fusion", "22612"], ["face_lift", "15824"]])
+    with pytest.raises(UnknownProcedure) as raised:
+        ProcedureCodeSet.from_file(path)
+    assert str(raised.value) == f"{path}: unknown procedures ['face_lift', 'spinal_fusion']"

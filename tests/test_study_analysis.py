@@ -29,6 +29,7 @@ from rxdid.study_analysis import (
     std_diff_proportion,
     table_one,
     trend_series,
+    write_table_one_csv,
     write_trends_csv,
 )
 
@@ -478,6 +479,25 @@ def test_table_one_rows(monkeypatch):
     assert sx["std_diff"] == pytest.approx(std_diff_proportion(0.3, 0.2))
     assert sx["exposed"] == "12 (30.0)"
     assert sx["unexposed"] == "8 (20.0)"
+
+
+def test_table_one_flags_a_covariate_split_by_exposure(monkeypatch, tmp_path):
+    # 1 on every exposed row and 0 on every unexposed row: a standardized
+    # difference of proportions has no variance to divide by.
+    monkeypatch.setattr(study_analysis, "COVARIATE_COLUMNS", ["age", "sex_female", "split"])
+    data = _table_one_input()
+    data["split"] = data["exposed"].copy()
+    by_var = {r["variable"]: r for r in table_one(data)}
+    assert by_var["split"]["flag"] == "zero_variance"
+    assert math.isnan(by_var["split"]["std_diff"])
+    assert by_var["split"]["exposed"] == "40 (100.0)"
+    assert by_var["split"]["unexposed"] == "0 (0.0)"
+    assert "flag" not in by_var["sex_female"]
+    path = tmp_path / "table_one.csv"
+    write_table_one_csv(str(path), table_one(data))
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "split,proportion,40 (100.0),0 (0.0),"
+    assert not lines[-2].endswith(",")
 
 
 def test_table_one_requires_both_groups():

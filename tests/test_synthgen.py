@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import simulated_pipeline
-from rxdid.claims_core import StudyCalendar
+from rxdid.claims_core import MalformedRow, StudyCalendar
 from rxdid.prescriber_profile import ProviderClass
 from rxdid.synthgen import (
     DEFAULT_PROCEDURE_WEIGHTS,
@@ -77,10 +77,13 @@ def test_ground_truth_round_trip(tmp_path):
     {"persistence_prob": 1.0},
     {"share_mean_high": 1.0},
     {"share_mean_low": 0.0},
+    {"high_pref_fraction": 1.5},
+    {"patients_per_provider_quarter": -1},
 ])
 def test_invalid_config(overrides):
+    # a config validates itself when it is built
     with pytest.raises(InvalidConfig):
-        dataclasses.replace(SimConfig(), **overrides).validate()
+        dataclasses.replace(SimConfig(), **overrides)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -109,6 +112,27 @@ def test_config_file_rejects_unknown_key(tmp_path):
     p.write_text("proc_weight_face_lift = 1.0\n")
     with pytest.raises(InvalidConfig):
         SimConfig.from_file(str(p))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed = 1\nn_providers = 5\nseed = 2\n", ":3: config key 'seed' given twice"),
+    ("proc_weight_knee_arthroscopy = 1\nproc_weight_knee_arthroscopy = 2\n",
+     ":2: config key 'proc_weight_knee_arthroscopy' given twice"),
+    ("seed = 3\nn_provider = 5\n", ":2: unknown config key 'n_provider'"),
+    ("proc_weight_face_lift = 1.0\n", ":1: unknown config key 'proc_weight_face_lift'"),
+    ("knee_arthroscopy = 1.0\n", ":1: unknown config key 'knee_arthroscopy'"),
+    ("procedure_weights = 1\n", ":1: unknown config key 'procedure_weights'"),
+    ("seed = 3\n\nn_providers = 0.5\n", ":3: n_providers: invalid literal"),
+    ("proc_weight_breast_excision = many\n", ":1: proc_weight_breast_excision: could not"),
+    ("seed\n", ":1: expected key = value, got 'seed'"),
+    ("refill_prob = 0  # never\n", ": refill_prob=0.0 must be in (0, 1)"),
+])
+def test_config_file_error_names_the_file_and_line(tmp_path, text, message):
+    p = tmp_path / "sim.cfg"
+    p.write_text(text)
+    with pytest.raises((InvalidConfig, MalformedRow)) as raised:
+        SimConfig.from_file(str(p))
+    assert str(raised.value).startswith(f"{p}{message}")
 
 
 def test_run_id_depends_on_config_not_identity():
