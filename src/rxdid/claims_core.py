@@ -6,6 +6,7 @@ whole calendar days, as :func:`days_between` counts them.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import functools
@@ -13,9 +14,9 @@ import gc
 import json
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
-from typing import Callable, NamedTuple, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 
 class ClaimsError(Exception):
@@ -31,10 +32,6 @@ class MalformedRow(ClaimsError):
 
 
 class UnknownColumn(ClaimsError):
-    pass
-
-
-class InvalidDate(ClaimsError):
     pass
 
 
@@ -74,13 +71,6 @@ def gc_paused(fn: Callable) -> Callable:
 def days_between(a: date, b: date) -> int:
     """Signed calendar-day difference b - a; days_between(a, a) == 0."""
     return (b - a).days
-
-
-def parse_iso_date(s: str) -> date:
-    try:
-        return date.fromisoformat(s)
-    except ValueError as e:
-        raise InvalidDate(str(e)) from None
 
 
 class Sex(str, enum.Enum):
@@ -160,6 +150,20 @@ class StudyCalendar:
             raise CalendarMisconfigured(f"{path}: {e}") from None
 
 
+@contextlib.contextmanager
+def open_utf8(path: str, newline: str | None = None):
+    """``path`` opened as UTF-8 text. A byte that does not decode is a MalformedRow
+    naming its line, counted in the raw bytes (the decoder reads ahead in chunks)."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            yield f
+    except UnicodeDecodeError as e:
+        with open(path, "rb") as f:  # the first line where dropping and replacing bad bytes differ
+            lineno = next(i for i, raw in enumerate(f, start=1)
+                          if raw.decode("utf-8", "ignore") != raw.decode("utf-8", "replace"))
+        raise MalformedRow(path, lineno, f"not UTF-8: {e.reason}") from None
+
+
 def read_settings(path: str, cls, kind: str, form: str) -> tuple[dict, list]:
     """The ``key = value`` lines of ``path``: the values of keys that name
     an int, float or date field of dataclass ``cls``, each parsed by its
@@ -171,7 +175,7 @@ def read_settings(path: str, cls, kind: str, form: str) -> tuple[dict, list]:
     parsers = {int: int, float: float, date: date.fromisoformat}
     types = {k: parsers[t] for k, t in get_type_hints(cls).items() if t in parsers}
     values, unknown, seen = {}, [], set()
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -345,24 +349,29 @@ def opioid_fills_in_window(
 
 
 def read_csv_rows(path: str, expected: list[str]):
-    """(line number, row) for each non-blank data row of a CSV file.
+    """(line number, row) for each non-blank data row of a CSV file, by the
+    line the row starts on.
 
     Raises UnknownColumn when the file is empty or its header is not
-    ``expected``.
+    ``expected``, and MalformedRow for a row the strict csv reader cannot
+    read, such as a quote left open, even to the end of the file.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise UnknownColumn(f"{path}: empty file, expected header {expected}")
-        if [h.strip() for h in header] != expected:
-            raise UnknownColumn(
-                f"{path}: header {header} does not match expected {expected}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            yield lineno, row
+    with open_utf8(path, newline="") as f:
+        reader = csv.reader(f, strict=True)
+        done = 0  # lines read before the row being read
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise UnknownColumn(f"{path}: empty file, expected header {expected}")
+            if [h.strip() for h in header] != expected:
+                raise UnknownColumn(f"{path}: header {header} does not match expected {expected}")
+            done = reader.line_num
+            for row in reader:
+                if row and any(c.strip() for c in row):
+                    yield done + 1, row
+                done = reader.line_num
+        except csv.Error as e:
+            raise MalformedRow(path, done + 1, str(e)) from None
 
 
 def check_field_count(row: list[str], columns: list[str]) -> None:
@@ -384,7 +393,7 @@ def read_reference_csv(path: str, columns: list[str], parse) -> list:
             if empty:
                 raise ValueError(f"empty {empty[0]}")
             out.append(parse(row))
-        except (ValueError, InvalidDate) as e:
+        except ValueError as e:
             raise MalformedRow(path, lineno, str(e)) from None
     return out
 
@@ -427,11 +436,30 @@ def write_json(path: str, data) -> None:
         f.write("\n")
 
 
+def conforms(value, hint) -> bool:
+    """Whether the JSON ``value`` is what write_json makes of a value of type
+    ``hint``: a dataclass is an object of exactly its compared fields, each
+    of its declared type; ``dict[str, T]`` is an object and ``tuple[T, ...]``
+    an array; a float is any JSON number, and a bool, int or str that type
+    exactly (so ``true`` is no int)."""
+    if is_dataclass(hint):
+        types = get_type_hints(hint)
+        names = {f.name for f in fields(hint) if f.compare}
+        return (isinstance(value, dict) and set(value) == names
+                and all(conforms(value[k], types[k]) for k in names))
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is dict:
+        return isinstance(value, dict) and all(conforms(v, args[1]) for v in value.values())
+    if origin is tuple:
+        return isinstance(value, list) and all(conforms(v, args[0]) for v in value)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
 def load_json(path: str, valid: Callable, expected: str):
     """A JSON file of the run directory. One that does not parse, or whose
     data ``valid`` rejects, is a MalformedRow naming the file."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open_utf8(path) as f:
             data = json.load(f)
     except json.JSONDecodeError as e:
         raise MalformedRow(path, e.lineno, f"not JSON: {e.msg}") from None
@@ -441,7 +469,7 @@ def load_json(path: str, valid: Callable, expected: str):
 
 
 # Row parsers get a row with the right field count, the calendar and the
-# drug codes accepted so far; a bad value raises ValueError or InvalidDate.
+# drug codes accepted so far; a bad value raises ValueError.
 
 def _parse_catalog(row, calendar, drug_codes) -> DrugCatalogEntry:
     code = row[0].strip()
@@ -461,8 +489,8 @@ def _parse_catalog(row, calendar, drug_codes) -> DrugCatalogEntry:
 
 def _parse_enrollment(row, calendar, drug_codes) -> EnrollmentSpan:
     pid = row[0].strip()
-    start = parse_iso_date(row[1])
-    end = parse_iso_date(row[2])
+    start = date.fromisoformat(row[1])
+    end = date.fromisoformat(row[2])
     if not pid:
         raise ValueError("empty person_id")
     if start > end:
@@ -472,7 +500,7 @@ def _parse_enrollment(row, calendar, drug_codes) -> EnrollmentSpan:
 
 def _parse_pharmacy(row, calendar, drug_codes) -> PharmacyClaim:
     pid = row[0].strip()
-    fill = parse_iso_date(row[1])
+    fill = date.fromisoformat(row[1])
     code = row[2].strip()
     quantity = float(row[3])
     if not pid or not code:
@@ -493,9 +521,9 @@ def _parse_medical(row, calendar, drug_codes) -> MedicalClaim:
     provider_id = row[2].strip()
     provider_type = ProviderType(row[3].strip())
     cpt = row[4].strip()
-    service = parse_iso_date(row[5])
-    admission = parse_iso_date(row[6]) if row[6].strip() else None
-    discharge = parse_iso_date(row[7]) if row[7].strip() else None
+    service = date.fromisoformat(row[5])
+    admission = date.fromisoformat(row[6]) if row[6].strip() else None
+    discharge = date.fromisoformat(row[7]) if row[7].strip() else None
     setting = Setting(row[8].strip())
     if (setting is Setting.INPATIENT) != (discharge is not None):
         raise ValueError("setting=Inpatient iff discharge_date present")
@@ -609,7 +637,7 @@ def parse_inputs(input_dir: str, calendar: StudyCalendar | None = None) -> Claim
                         raise ValueError(f"duplicate {f.columns[0]} {key}")
                     keys[f.name].add(key)
                 accepted.append(record)
-            except (ValueError, InvalidDate) as e:
+            except ValueError as e:
                 rejected.append(RejectedRow(f.name, lineno, str(e)))
     store = store_from_records(
         records["enrollment.csv"], records["pharmacy.csv"], records["medical.csv"],

@@ -96,7 +96,7 @@ class MissingInput(Exception):
 
 # Each step's errors by family: what it was handed (exit 1), or what the
 # analysis of valid inputs ran into (exit 2).
-VALIDATION_ERRORS = (MissingInput, FileNotFoundError, ClaimsError, MeasureError, ProfileError,
+VALIDATION_ERRORS = (MissingInput, OSError, ClaimsError, MeasureError, ProfileError,
                      SynthError)
 ANALYSIS_ERRORS = (AnalysisError, GlmError)
 

@@ -3,7 +3,7 @@ and report assembly."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date, timedelta
 from operator import itemgetter
 
@@ -13,6 +13,7 @@ from .claims_core import (
     ClaimsStore,
     StudyCalendar,
     TextMemo,
+    conforms,
     days_between,
     gc_paused,
     load_json,
@@ -336,45 +337,17 @@ def estimate_json(estimate: DidEstimate | PretrendResult) -> dict:
     return {k: v for k, v in asdict(replace(estimate, fit=None)).items() if k != "fit"}
 
 
-_DID_KEYS = {f.name for f in fields(DidEstimate)} - {"fit"}
-_PRETREND_KEYS = {f.name for f in fields(PretrendResult)} - {"fit"}
-_YEAR_KEYS = {f.name for f in fields(YearInteraction)}
-
-
-def _is_did_json(entry) -> bool:
-    """The shape estimate_json gives a DidEstimate, with the numbers the check reads."""
-    return (
-        isinstance(entry, dict) and set(entry) == _DID_KEYS
-        and isinstance(entry["significant"], bool)
-        and all(isinstance(entry[k], (int, float)) for k in ("interaction", "ci_low", "ci_high"))
-    )
-
-
-def _is_pretrend_json(entry) -> bool:
-    """The shape estimate_json gives a PretrendResult, with the numbers the report renders."""
-    return (
-        isinstance(entry, dict) and set(entry) == _PRETREND_KEYS
-        and isinstance(entry["joint_p"], (int, float))
-        and all(
-            isinstance(entry[year], dict) and set(entry[year]) == _YEAR_KEYS
-            and all(isinstance(v, (int, float)) for v in entry[year].values())
-            for year in ("year2", "year3")
-        )
-    )
-
-
 def read_pretrend_json(path: str) -> dict:
     """pretrend.json as ``pretrend`` writes it: outcome -> estimate_json."""
-    return load_json(
-        path, lambda data: isinstance(data, dict) and all(map(_is_pretrend_json, data.values())),
-        "one pre-trend result object per outcome")
+    return load_json(path, lambda data: conforms(data, dict[str, PretrendResult]),
+                     "one pre-trend result object per outcome")
 
 
 def read_report_json(path: str) -> dict:
     """report.json as ``did`` writes it: its ``did`` maps outcome -> estimate_json."""
     return load_json(
-        path, lambda data: isinstance(data, dict) and isinstance(data.get("did"), dict)
-        and all(map(_is_did_json, data["did"].values())),
+        path, lambda data: isinstance(data, dict)
+        and conforms(data.get("did"), dict[str, DidEstimate]),
         "an object whose did holds one estimate object per outcome")
 
 

@@ -25,6 +25,7 @@ from .claims_core import (
     Setting,
     Sex,
     StudyCalendar,
+    conforms,
     days_between,
     gc_paused,
     load_json,
@@ -441,17 +442,8 @@ def generate(
 
 
 def _is_ground_truth_json(data) -> bool:
-    """The shape ``generate`` writes: GroundTruth's fields, each of its
-    type, with positive injected multipliers."""
-    return (
-        isinstance(data, dict) and set(data) == {f.name for f in fields(GroundTruth)}
-        and isinstance(data["run_id"], str)
-        and all(type(data[k]) is int for k in ("seed", "n_episodes"))
-        and isinstance(data["injected_effects"], dict)
-        and all(type(v) in (int, float) and v > 0 for v in data["injected_effects"].values())
-        and isinstance(data["provider_strata"], dict)
-        and all(isinstance(v, str) for v in data["provider_strata"].values())
-    )
+    """What ``generate`` writes, with positive injected multipliers."""
+    return conforms(data, GroundTruth) and all(v > 0 for v in data["injected_effects"].values())
 
 
 def load_ground_truth(path: str) -> GroundTruth:

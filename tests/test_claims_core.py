@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import json
 import os
 import tempfile
 from datetime import date, timedelta
@@ -26,6 +27,7 @@ from rxdid.claims_core import (
     CalendarMisconfigured,
     MalformedRow,
     UnknownColumn,
+    conforms,
     days_between,
     index_anchor_dates,
     merge_enrollment_spans,
@@ -123,6 +125,57 @@ def test_read_settings_names_the_file_and_line_of_a_bad_line(tmp_path, text, mes
     with pytest.raises(MalformedRow) as raised:
         read_settings(str(path), _Settings, "test", "key = value")
     assert str(raised.value).startswith(f"{path}{message}")
+
+
+# -- conforms: JSON against the declared fields of its record ---------------
+
+_YEAR = study_analysis.YearInteraction(0.1, -0.1, 0.3, 0.4, 2.0, -1.0, 5.0)
+# what write_json makes of each estimate, as load_json reads it back
+_DID_JSON = json.loads(json.dumps(study_analysis.estimate_json(study_analysis.DidEstimate(
+    "any_refill_30d", "binomial_logit", 0.2, -0.1, 0.5, 0.2, False, 0.01, -0.01, 0.03,
+    900, 50, ("proc_open_cholecystectomy",)))))
+_PRETREND_JSON = json.loads(json.dumps(study_analysis.estimate_json(
+    study_analysis.PretrendResult("initial_mme_7d", "gamma_log", _YEAR, _YEAR, 1.5, 2, 0.47,
+                                  800, 50))))
+
+
+def _changed(entry, **values):
+    return {**entry, **values}
+
+
+@pytest.mark.parametrize("value, hint, expected", [
+    (_DID_JSON, study_analysis.DidEstimate, True),
+    (_PRETREND_JSON, study_analysis.PretrendResult, True),
+    ({"a": _DID_JSON, "b": _DID_JSON}, dict[str, study_analysis.DidEstimate], True),
+    (_changed(_DID_JSON, n_obs=True), study_analysis.DidEstimate, False),
+    (_changed(_DID_JSON, n_obs=900.0), study_analysis.DidEstimate, False),
+    (_changed(_DID_JSON, significant=0), study_analysis.DidEstimate, False),
+    (_changed(_DID_JSON, interaction=1), study_analysis.DidEstimate, True),
+    (_changed(_DID_JSON, interaction=True), study_analysis.DidEstimate, False),
+    (_changed(_DID_JSON, interaction="0.2"), study_analysis.DidEstimate, False),
+    (_changed(_DID_JSON, dropped_columns=["age", "sex_female"]), study_analysis.DidEstimate,
+     True),
+    (_changed(_DID_JSON, dropped_columns=("age",)), study_analysis.DidEstimate, False),
+    (_changed(_DID_JSON, dropped_columns=[1]), study_analysis.DidEstimate, False),
+    ({k: v for k, v in _DID_JSON.items() if k != "ci_low"}, study_analysis.DidEstimate, False),
+    (_changed(_DID_JSON, extra=1.0), study_analysis.DidEstimate, False),
+    (_changed(_DID_JSON, fit=None), study_analysis.DidEstimate, False),
+    (_changed(_PRETREND_JSON, year3=_changed(_PRETREND_JSON["year3"], ame="x")),
+     study_analysis.PretrendResult, False),
+    (_changed(_PRETREND_JSON, year2=[0.1] * 7), study_analysis.PretrendResult, False),
+    ([_DID_JSON], dict[str, study_analysis.DidEstimate], False),
+    ({"a": _DID_JSON, "b": 1.0}, dict[str, study_analysis.DidEstimate], False),
+    ({"run_id": "r", "seed": 3, "injected_effects": {"initial_mme_7d": 1}, "n_episodes": 9,
+      "provider_strata": {"P1": "high"}}, synthgen.GroundTruth, True),
+    ({"run_id": "r", "seed": 3, "injected_effects": {"initial_mme_7d": "1"}, "n_episodes": 9,
+      "provider_strata": {"P1": "high"}}, synthgen.GroundTruth, False),
+], ids=["did", "pretrend", "did_by_outcome", "bool_for_int", "float_for_int", "int_for_bool",
+        "int_for_float", "bool_for_float", "str_for_float", "list_for_tuple", "python_tuple",
+        "int_in_tuple", "missing_key", "extra_key", "fit_key", "str_in_nested_year",
+        "array_for_nested_year", "array_for_dict", "number_in_dict", "ground_truth",
+        "str_effect_in_ground_truth"])
+def test_conforms_checks_json_against_the_declared_fields(value, hint, expected):
+    assert conforms(value, hint) is expected
 
 
 def test_abutting_spans_merge():

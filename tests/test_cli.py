@@ -195,11 +195,12 @@ def test_out_of_range_thresholds_are_one_line_validation_error(tmp_path, sim_fil
     ("post_end = 2015-13-01\n", ":1: post_end: month must be in 1..12"),
     ("pre_start=2014-08-22\n", ": pre_start must be <= pre_end"),
     ("post_start=2015-10-06\n", ": post_start must be <= post_end"),
+    ("pre_start = 2011-08-22 # d\xe9but\n", ":1: not UTF-8: invalid continuation byte"),
 ])
 def test_bad_calendar_file_is_one_line_validation_error_naming_it(tmp_path, capsys,
                                                                   text, named):
     cal = tmp_path / "cal.txt"
-    cal.write_text(text)
+    cal.write_text(text, encoding="latin-1")  # so "\xe9" is one byte that is not UTF-8
     assert main(["simulate", "--out", str(tmp_path / "r"), "--calendar", str(cal)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cal}{named}") and len(err.splitlines()) == 1
@@ -229,11 +230,12 @@ def test_bad_sim_config_value_is_one_line_validation_error(tmp_path, capsys, lin
     ("seed = 1\nn_providers = 50\nseed = 2\n", ":3: config key 'seed' given twice"),
     ("seed = 1\nn_provider = 50\n", ":2: unknown config key 'n_provider'"),
     ("# small\nn_providers = many\n", ":2: n_providers: invalid literal"),
+    ("seed = 1\nn_providers = 50  # cinquante, pas cent\xe9\n", ":2: not UTF-8"),
 ])
 def test_bad_sim_config_line_is_one_line_validation_error_naming_file_and_line(
         tmp_path, capsys, text, named):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+    cfg.write_text(text, encoding="latin-1")  # so "\xe9" is one byte that is not UTF-8
     assert main(["simulate", "--out", str(tmp_path / "r"), "--sim", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}{named}") and len(err.splitlines()) == 1
@@ -636,6 +638,34 @@ def _replace_with(text):
     return lambda _: text
 
 
+def _set_in_first_entry(key, value, under=None):
+    """An edit of a JSON file that sets ``key`` of its first entry (of the
+    object under ``under``, if given) to ``value``."""
+    def edit(text):
+        data = json.loads(text)
+        next(iter((data if under is None else data[under]).values()))[key] = value
+        return json.dumps(data)
+    return edit
+
+
+def _edit_line(number, edit):
+    """An edit of line ``number`` of a file."""
+    def apply(text):
+        lines = text.splitlines(keepends=True)
+        lines[number - 1] = edit(lines[number - 1])
+        return "".join(lines)
+    return apply
+
+
+def _append_e_acute(line):
+    # written as Latin-1, the byte 0xe9, which is not UTF-8 before a newline
+    return line.rstrip("\n") + "\xe9\n"
+
+
+def _open_quote(line):
+    return line.replace(",", ',"', 1)
+
+
 def _edit_first_row(column, value):
     def edit(text):
         lines = text.splitlines(keepends=True)
@@ -679,6 +709,16 @@ def _edit_first_row(column, value):
     ("ground_truth.json", _replace_with("{"), "check", "ground_truth.json"),
     ("ground_truth.json", _replace_with('{"run_id": "x"}\n'), "did", "ground_truth.json"),
     ("report.json", _replace_with("[]\n"), "check", "report.json"),
+    ("pretrend.json", _set_in_first_entry("n_obs", "x"), "did", "pretrend.json"),
+    ("report.json", _set_in_first_entry("p_value", "x", under="did"), "check", "report.json"),
+    ("inputs/pharmacy.csv", _edit_line(500, _append_e_acute), "classify",
+     "pharmacy.csv:500: not UTF-8: invalid continuation byte"),
+    ("pretrend.json", _edit_line(3, _append_e_acute), "did",
+     "pretrend.json:3: not UTF-8: invalid continuation byte"),
+    ("inputs/medical.csv", _edit_line(101, _open_quote), "classify",
+     "medical.csv:101: field larger than field limit (131072)"),
+    ("inputs/pharmacy.csv", _edit_line(101, _open_quote), "classify",
+     "pharmacy.csv:101: unexpected end of data"),
     ("inputs/comorbidity_map.csv", _append("obesity,."), "cohort", "empty icd9_prefix"),
     ("inputs/procedures.csv", _append("spinal_fusion,22612"), "classify",
      "procedures.csv: unknown procedures ['spinal_fusion']"),
@@ -693,6 +733,8 @@ def _edit_first_row(column, value):
         "analysis_table_header", "analysis_table_value", "analysis_table_binary_outcome",
         "analysis_table_nan_age", "report_not_json",
         "ground_truth_not_json", "ground_truth_missing_keys", "report_not_object",
+        "pretrend_str_n_obs", "report_str_p_value", "pharmacy_not_utf8", "pretrend_not_utf8",
+        "medical_quote_past_field_limit", "pharmacy_quote_to_end_of_file",
         "comorbidity_map_dot_prefix", "procedures_unknown_name"])
 def test_bad_reference_file_is_one_line_validation_error(
         tmp_path, sim_file, capsys, rel, edit, step, named):
@@ -701,14 +743,45 @@ def test_bad_reference_file_is_one_line_validation_error(
     for s in STEPS[:max(2, STEPS.index(step))]:
         assert main([s, "--out", out, "--sim", sim_file]) == 0
     path = os.path.join(out, rel)
-    text = open(path).read()
-    open(path, "w").write(edit(text))
+    # Latin-1 reads and writes each byte as one character, so an edit may add a byte
+    # that is not UTF-8.
+    text = open(path, encoding="latin-1").read()
+    open(path, "w", encoding="latin-1").write(edit(text))
     capsys.readouterr()
     assert main([step, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert len(err.splitlines()) == 1
 
+
+
+def _sim_is_a_directory(tmp_path, sim_file):
+    return ["simulate", "--out", str(tmp_path / "r"), "--sim", str(tmp_path)], str(tmp_path)
+
+
+def _out_is_a_file(tmp_path, sim_file):
+    path = tmp_path / "r"
+    path.write_text("")
+    return ["simulate", "--out", str(path), "--sim", sim_file], str(path)
+
+
+def _directory_under_inputs(tmp_path, sim_file):
+    out = str(tmp_path / "r")
+    assert main(["simulate", "--out", out, "--sim", sim_file]) == 0
+    path = os.path.join(out, "inputs", "notes")
+    os.mkdir(path)
+    return ["classify", "--out", out], path
+
+
+@pytest.mark.parametrize("setup", [_sim_is_a_directory, _out_is_a_file, _directory_under_inputs],
+                         ids=["sim_is_a_directory", "out_is_a_file", "directory_under_inputs"])
+def test_filesystem_error_is_one_line_validation_error_naming_its_path(
+        tmp_path, sim_file, capsys, setup):
+    argv, path = setup(tmp_path, sim_file)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]+: {re.escape(repr(path))}\n", err)
 
 
 # The files classify through trends derive from the inputs.

@@ -86,14 +86,15 @@ def _exceptions_defined_in_rxdid():
 
 
 def test_every_rxdid_exception_exits_1_or_2_with_one_line(tmp_path, monkeypatch, capsys):
-    # Whatever a step raises of rxdid's own errors ends in exit 1 or 2 and
-    # one line, never in a traceback.
+    # Whatever a step raises of rxdid's own errors, or of the operating
+    # system's on a path it was handed, ends in exit 1 or 2 and one line,
+    # never in a traceback.
     import rxdid.cli as cli
 
     classes = _exceptions_defined_in_rxdid()
     assert len(classes) > 20
     exits = {}
-    for cls in classes:
+    for cls in classes + [IsADirectoryError, FileExistsError, PermissionError]:
         error = cls.__new__(cls)
         error.args = ("raised in a step",)
 
