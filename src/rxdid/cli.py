@@ -438,9 +438,11 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         for step in steps:
             started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+            # an unreadable inputs/ stops the step before it writes anything
+            digests = {} if step == "simulate" else run.input_digests
             outputs = _STEP_FUNCS[step](args, run)
             _write_manifest(args.out, step, sys.argv[1:] if argv is None else argv,
-                            {} if step == "simulate" else run.input_digests, outputs, started)
+                            digests, outputs, started)
     except VALIDATION_ERRORS as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION

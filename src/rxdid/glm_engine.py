@@ -73,27 +73,15 @@ class _Logit:
         return 1.0 / (1.0 + np.exp(-eta))
 
     @staticmethod
-    def inv_link_deriv(eta):
-        mu = 1.0 / (1.0 + np.exp(-eta))
+    def dmu_deta(mu):
         return mu * (1.0 - mu)
 
-    @staticmethod
-    def irls_weights(mu):
-        # W = (dmu/deta)^2 / V(mu) = mu(1-mu) under the canonical link
-        return mu * (1.0 - mu)
-
-    @staticmethod
-    def working_response(eta, y, mu):
-        return eta + (y - mu) / (mu * (1.0 - mu))
+    # W = (dmu/deta)^2 / V(mu) = dmu/deta under the canonical link
+    irls_weights = dmu_deta
 
     @staticmethod
     def deviance(y, mu):
         return -2.0 * np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))
-
-    @staticmethod
-    def score_scale(mu):
-        # (dmu/deta) / V(mu), multiplying (y - mu) in the quasi-score
-        return np.ones_like(mu)
 
     @staticmethod
     def clip_mu(mu):
@@ -123,8 +111,8 @@ class _GammaLog:
         return np.exp(eta)
 
     @staticmethod
-    def inv_link_deriv(eta):
-        return np.exp(eta)
+    def dmu_deta(mu):
+        return mu
 
     @staticmethod
     def irls_weights(mu):
@@ -132,16 +120,8 @@ class _GammaLog:
         return np.ones_like(mu)
 
     @staticmethod
-    def working_response(eta, y, mu):
-        return eta + (y - mu) / mu
-
-    @staticmethod
     def deviance(y, mu):
         return 2.0 * np.sum((y - mu) / mu - np.log(y / mu))
-
-    @staticmethod
-    def score_scale(mu):
-        return 1.0 / mu
 
     @staticmethod
     def clip_mu(mu):
@@ -318,7 +298,7 @@ def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
     trace = [float(deviance)]
     for iterations in range(1, MAX_ITERATIONS + 1):
         w = fam.irls_weights(mu)
-        z = fam.working_response(eta, y, mu)
+        z = eta + (y - mu) / fam.dmu_deta(mu)
         beta = normal.wls_step(w, z)
         eta = X @ beta
         mu = fam.clip_mu(fam.inv_link(eta))
@@ -363,9 +343,11 @@ def fit_arrays(design: Design, y: np.ndarray, family: str) -> FitResult:
 
 
 def _scores(fit_result: FitResult) -> np.ndarray:
-    """Per-observation quasi-score contributions (n x p)."""
+    """Per-observation quasi-score contributions (n x p): x (y - mu) scaled
+    by (dmu/deta) / V(mu), which is W / (dmu/deta)."""
     fam = _FAMILIES[fit_result.family]
-    resid = (fit_result.y - fit_result.mu) * fam.score_scale(fit_result.mu)
+    mu = fit_result.mu
+    resid = (fit_result.y - mu) * (fam.irls_weights(mu) / fam.dmu_deta(mu))
     return fit_result.X * resid[:, None]
 
 
@@ -497,9 +479,9 @@ def marginal_effect(fit_result: FitResult, term: str) -> MarginalEffect:
     eta = X @ b
     eta1 = eta + (1.0 - X[:, j]) * b[j]
     eta0 = eta - X[:, j] * b[j]
-    effect = float(np.mean(fam.inv_link(eta1) - fam.inv_link(eta0)))
-    d1 = fam.inv_link_deriv(eta1)
-    d0 = fam.inv_link_deriv(eta0)
+    mu1, mu0 = fam.inv_link(eta1), fam.inv_link(eta0)
+    effect = float(np.mean(mu1 - mu0))
+    d1, d0 = fam.dmu_deta(mu1), fam.dmu_deta(mu0)
     grad = (d1 - d0) @ X / len(eta)
     grad[j] = np.mean(d1)
     var = float(grad @ fit_result.robust_cov @ grad)

@@ -338,16 +338,18 @@ def estimate_json(estimate: DidEstimate | PretrendResult) -> dict:
 
 
 def read_pretrend_json(path: str) -> dict:
-    """pretrend.json as ``pretrend`` writes it: outcome -> estimate_json."""
-    return load_json(path, lambda data: conforms(data, dict[str, PretrendResult]),
+    """pretrend.json as ``pretrend`` writes it: each outcome -> estimate_json."""
+    return load_json(path, lambda data: conforms(data, dict[str, PretrendResult])
+                     and sorted(data) == sorted(OUTCOMES),
                      "one pre-trend result object per outcome")
 
 
 def read_report_json(path: str) -> dict:
-    """report.json as ``did`` writes it: its ``did`` maps outcome -> estimate_json."""
+    """report.json as ``did`` writes it: its ``did`` maps each outcome -> estimate_json."""
     return load_json(
         path, lambda data: isinstance(data, dict)
-        and conforms(data.get("did"), dict[str, DidEstimate]),
+        and conforms(data.get("did"), dict[str, DidEstimate])
+        and sorted(data["did"]) == sorted(OUTCOMES),
         "an object whose did holds one estimate object per outcome")
 
 

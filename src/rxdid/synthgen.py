@@ -61,36 +61,20 @@ FORMULARY = [
 NON_HYDRO_CODES = ["OXY5", "TRA50", "MOR15"]
 ANTIDEPRESSANT_CODES = frozenset({"AD001"})
 
-DEFAULT_PROCEDURE_WEIGHTS = {
-    "laparoscopic_cholecystectomy": 24,
-    "open_cholecystectomy": 1,
-    "laparoscopic_appendectomy": 9,
-    "open_appendectomy": 1,
-    "inguinal_hernia_repair": 12,
-    "carpal_tunnel_release": 9,
-    "knee_arthroscopy": 20,
-    "total_knee_replacement": 10,
-    "total_hip_replacement": 5,
-    "breast_excision": 9,
+# name -> (CPT code, default weight, probability that the stay is inpatient)
+PROCEDURES = {
+    "laparoscopic_cholecystectomy": ("47562", 24, 0.1),
+    "open_cholecystectomy": ("47600", 1, 0.7),
+    "laparoscopic_appendectomy": ("44970", 9, 0.1),
+    "open_appendectomy": ("44950", 1, 0.5),
+    "inguinal_hernia_repair": ("49505", 12, 0.1),
+    "carpal_tunnel_release": ("64721", 9, 0.1),
+    "knee_arthroscopy": ("29881", 20, 0.1),
+    "total_knee_replacement": ("27447", 10, 0.9),
+    "total_hip_replacement": ("27130", 5, 0.9),
+    "breast_excision": ("19301", 9, 0.1),
 }
-PROCEDURE_CPT = {
-    "carpal_tunnel_release": "64721",
-    "laparoscopic_cholecystectomy": "47562",
-    "open_cholecystectomy": "47600",
-    "inguinal_hernia_repair": "49505",
-    "knee_arthroscopy": "29881",
-    "total_knee_replacement": "27447",
-    "total_hip_replacement": "27130",
-    "laparoscopic_appendectomy": "44970",
-    "open_appendectomy": "44950",
-    "breast_excision": "19301",
-}
-INPATIENT_PROB = {
-    "total_knee_replacement": 0.9,
-    "total_hip_replacement": 0.9,
-    "open_cholecystectomy": 0.7,
-    "open_appendectomy": 0.5,
-}
+DEFAULT_PROCEDURE_WEIGHTS = {name: weight for name, (_, weight, _) in PROCEDURES.items()}
 OFFICE_VISIT_CPT = "99213"
 
 
@@ -297,7 +281,7 @@ def generate(
     frac = config.patients_per_provider_quarter - whole
 
     proc_names = sorted(config.procedure_weights)
-    procedures = [(PROCEDURE_CPT[n], INPATIENT_PROB.get(n, 0.1)) for n in proc_names]
+    procedures = [(PROCEDURES[n][0], PROCEDURES[n][2]) for n in proc_names]
     proc_cum_weights = list(itertools.accumulate(
         config.procedure_weights[n] for n in proc_names
     ))

@@ -648,6 +648,16 @@ def _set_in_first_entry(key, value, under=None):
     return edit
 
 
+def _rename_first_entry(text):
+    data = json.loads(text)
+    first = next(iter(data))
+    return json.dumps({"not_an_outcome" if k == first else k: v for k, v in data.items()})
+
+
+def _set_did(value):
+    return lambda text: json.dumps({**json.loads(text), "did": value})
+
+
 def _edit_line(number, edit):
     """An edit of line ``number`` of a file."""
     def apply(text):
@@ -711,6 +721,9 @@ def _edit_first_row(column, value):
     ("report.json", _replace_with("[]\n"), "check", "report.json"),
     ("pretrend.json", _set_in_first_entry("n_obs", "x"), "did", "pretrend.json"),
     ("report.json", _set_in_first_entry("p_value", "x", under="did"), "check", "report.json"),
+    ("pretrend.json", _replace_with("{}\n"), "did", "pretrend.json"),
+    ("pretrend.json", _rename_first_entry, "did", "pretrend.json"),
+    ("report.json", _set_did({}), "check", "report.json"),
     ("inputs/pharmacy.csv", _edit_line(500, _append_e_acute), "classify",
      "pharmacy.csv:500: not UTF-8: invalid continuation byte"),
     ("pretrend.json", _edit_line(3, _append_e_acute), "did",
@@ -733,7 +746,8 @@ def _edit_first_row(column, value):
         "analysis_table_header", "analysis_table_value", "analysis_table_binary_outcome",
         "analysis_table_nan_age", "report_not_json",
         "ground_truth_not_json", "ground_truth_missing_keys", "report_not_object",
-        "pretrend_str_n_obs", "report_str_p_value", "pharmacy_not_utf8", "pretrend_not_utf8",
+        "pretrend_str_n_obs", "report_str_p_value", "pretrend_no_outcomes",
+        "pretrend_unknown_outcome", "report_no_outcomes", "pharmacy_not_utf8", "pretrend_not_utf8",
         "medical_quote_past_field_limit", "pharmacy_quote_to_end_of_file",
         "comorbidity_map_dot_prefix", "procedures_unknown_name"])
 def test_bad_reference_file_is_one_line_validation_error(
@@ -778,10 +792,13 @@ def _directory_under_inputs(tmp_path, sim_file):
 def test_filesystem_error_is_one_line_validation_error_naming_its_path(
         tmp_path, sim_file, capsys, setup):
     argv, path = setup(tmp_path, sim_file)
+    written = _tree_bytes(tmp_path / "r", skip_manifests=False)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]+: {re.escape(repr(path))}\n", err)
+    # the step stops before it writes anything
+    assert _tree_bytes(tmp_path / "r", skip_manifests=False) == written
 
 
 # The files classify through trends derive from the inputs.

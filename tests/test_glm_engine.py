@@ -2,6 +2,8 @@
 import os
 import subprocess
 import sys
+from dataclasses import astuple
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -362,6 +364,23 @@ def test_logistic_fit_factors_at_each_step_and_for_its_bread(monkeypatch):
     assert fit.n_iterations > 2 and len(calls) == fit.n_iterations + 1
 
 
+# Each family's IRLS working response, quasi-score scale (dmu/deta) / V(mu)
+# and AME slope dmu/deta at eta, each written out as its own formula.
+_WORKING_RESPONSE = {
+    BINOMIAL_LOGIT: lambda eta, y, mu: eta + (y - mu) / (mu * (1.0 - mu)),
+    GAMMA_LOG: lambda eta, y, mu: eta + (y - mu) / mu,
+}
+_SCORE_SCALE = {BINOMIAL_LOGIT: np.ones_like, GAMMA_LOG: lambda mu: 1.0 / mu}
+
+
+def _logit_slope(eta):
+    mu = 1.0 / (1.0 + np.exp(-eta))
+    return mu * (1.0 - mu)
+
+
+_AME_SLOPE = {BINOMIAL_LOGIT: _logit_slope, GAMMA_LOG: np.exp}
+
+
 def _refactored_fit(design, y, family):
     """fit_arrays's IRLS with X'WX formed and Cholesky-factored afresh at
     each step and again for the bread, as each step's weighted least squares
@@ -378,7 +397,7 @@ def _refactored_fit(design, y, family):
     deviance = fam.deviance(y, mu)
     for _ in range(glm_engine.MAX_ITERATIONS):
         Xw, L = factored(fam.irls_weights(mu))
-        z = fam.working_response(eta, y, mu)
+        z = _WORKING_RESPONSE[family](eta, y, mu)
         beta = np.linalg.solve(L.T, np.linalg.solve(L, Xw.T @ z))
         eta = X @ beta
         mu = fam.clip_mu(fam.inv_link(eta))
@@ -409,6 +428,55 @@ def test_kept_factor_leaves_every_bit_of_the_fit(family):
                     fit.n_clusters, X=design.X, y=fit.y, mu=mu, bread=bread)
     robust = cluster_robust_cov(ref, design.cluster_codes, design.n_clusters)
     assert fit.robust_cov.tobytes() == robust.tobytes()
+
+
+@pytest.mark.parametrize("family", [BINOMIAL_LOGIT, GAMMA_LOG])
+def test_dmu_deta_forms_keep_every_bit_of_the_explicit_formulas(family, monkeypatch):
+    fam = glm_engine._FAMILIES[family]
+    n = 60
+    d = (RNG.random(n) < 0.5).astype(float)
+    # the last column puts two rows' eta at -40 and +40, so mu reaches the clip
+    X = np.column_stack([np.ones(n), d, RNG.normal(size=n), np.r_[-40.0, 40.0, np.zeros(n - 2)]])
+    b = np.array([0.2, -0.7, 0.5, 1.0])
+    mu = fam.clip_mu(fam.inv_link(X @ b))
+    assert mu.min() == glm_engine.MU_EPS
+    if family == BINOMIAL_LOGIT:
+        y = np.r_[1.0, 0.0, (RNG.random(n - 2) < 0.5).astype(float)]
+    else:
+        y = RNG.gamma(shape=2.0, size=n)
+
+    # fit_arrays's first working response, at init_mu = mu
+    class FirstStep(Exception):
+        pass
+
+    def record(self, w, z):
+        raise FirstStep(z)
+
+    monkeypatch.setattr(fam, "init_mu", staticmethod(lambda y: mu))
+    monkeypatch.setattr(glm_engine._NormalEquations, "wls_step", record)
+    with pytest.raises(FirstStep) as step:
+        fit_arrays(_design(X), y, family)
+    z = step.value.args[0]
+    assert z.tobytes() == _WORKING_RESPONSE[family](fam.link(mu), y, mu).tobytes()
+
+    A = RNG.normal(size=(4, 4))
+    cov = A @ A.T / 10.0
+    fit = FitResult(family, ["x0", "d", "x2", "x3"], b, cov, cov, None, 0.0, 1, n, n,
+                    X=X, y=y, mu=mu)
+    scores = X * ((y - mu) * _SCORE_SCALE[family](mu))[:, None]
+    assert glm_engine._scores(fit).tobytes() == scores.tobytes()
+
+    eta = X @ b
+    eta1 = eta + (1.0 - d) * b[1]
+    eta0 = eta - d * b[1]
+    effect = float(np.mean(fam.inv_link(eta1) - fam.inv_link(eta0)))
+    d1, d0 = _AME_SLOPE[family](eta1), _AME_SLOPE[family](eta0)
+    grad = (d1 - d0) @ X / n
+    grad[1] = np.mean(d1)
+    se = float(np.sqrt(max(float(grad @ cov @ grad), 0.0)))
+    zcrit = NormalDist().inv_cdf(0.5 + glm_engine.CI_LEVEL / 2.0)
+    expected = np.array([effect, se, effect - zcrit * se, effect + zcrit * se])
+    assert np.array(astuple(marginal_effect(fit, "d"))).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
